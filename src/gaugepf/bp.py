@@ -7,6 +7,15 @@ sweep applies it edge by edge until the gradient of ``log z`` vanishes.
 Stationary points are saddles in each orientation pair, and the largest
 converged value across random restarts is the variational estimate of the
 partition function (exact on trees, a lower bound on bi-stable families).
+
+All restarts run in lockstep as the rows of one ``(restarts, darts)`` gauge
+array, each stopping at its own convergence sweep.  Every node-table
+reduction - edge coefficients, residuals, beliefs - is one pass of the
+node-table kernel :func:`gauge.node_weights` over those rows, so memory is
+``O(rows * 2**k)`` for a ``k``-slot node; the restarts are split into
+batches that keep it bounded on large tables.  The single-gauge entry
+points (:func:`residual_norm`, :func:`bp_residual`,
+:func:`edge_pair_update`, ...) are the same code on one row.
 """
 
 from __future__ import annotations
@@ -18,7 +27,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import gauge as gauge_mod
-from .gauge import GaugeVector, check_gauge, edge_belief, gauge_function
+from .gauge import (
+    GaugeVector,
+    check_gauge,
+    edge_belief,
+    gauge_function,
+    node_weights,
+    slot_pair_sums,
+    slot_sums,
+)
 from .model import FactorTable, ModelError, MultiGM, contract_model, soften
 from .multigraph import DirectedEdge, EdgeId, GraphError, NodeId
 from .poly import FactoredGaugePoly, QuadCoeffs, exact_contract_poly
@@ -40,6 +57,10 @@ class PolySelfEdgeError(ModelError):
     """BP normal-edge contraction was asked to eliminate a self-edge."""
 
 
+class ConfigError(ValueError):
+    """A :class:`SolverConfig` field is out of range."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for :func:`solve_bp`.
@@ -58,10 +79,17 @@ class SolverConfig:
     init_range: tuple[float, float] = (0.25, 4.0)
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.damping < 1.0):
-            raise ValueError("damping must lie in [0, 1)")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        lo, hi = self.init_range
+        for ok, name, rule in (
+            (0.0 <= self.damping < 1.0, "damping", "lie in [0, 1)"),
+            (0.0 < self.tolerance < math.inf, "tolerance", "be positive and finite"),
+            (self.max_sweeps >= 1, "max_sweeps", "be at least 1"),
+            (self.restarts >= 1, "restarts", "be at least 1"),
+            (0.0 < self.soften_eps < math.inf, "soften_eps", "be positive and finite"),
+            (0.0 < lo <= hi < math.inf, "init_range", "be finite with 0 < lo <= hi"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -91,39 +119,78 @@ class Beliefs:
         return min(min(b, 1.0 - b) for b in self.edge_marginals.values())
 
 
+# -- gauge arrays ------------------------------------------------------------
+
+# Entries of one node-weight array across a batch of restarts: the solver
+# runs at most ``_BATCH_ENTRIES >> k`` restarts together when the largest
+# node has ``k`` slots, which bounds its memory on large tables.
+_BATCH_ENTRIES = 1 << 18
+
+# wide clamp on every update: keeps extreme near-hard iterates representable
+_CLAMP = (1e-18, 1e18)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where each directed edge lives in a ``(rows, darts)`` gauge array."""
+
+    col: dict[DirectedEdge, int]
+    sibling: np.ndarray  # column of each column's sibling
+    slots: dict[NodeId, np.ndarray]  # columns of each node's slots, table order
+    slot_index: dict[DirectedEdge, int]  # position of a dart in its node's table
+
+    @classmethod
+    def of(cls, m: MultiGM, darts: Sequence[DirectedEdge]) -> "_Layout":
+        col = {d: j for j, d in enumerate(darts)}
+        slots, slot_index = {}, {}
+        for a in m.graph.nodes:
+            variables = m.factors[a].variables
+            slots[a] = np.array([col[d] for d in variables], dtype=np.intp)
+            slot_index.update((d, i) for i, d in enumerate(variables))
+        sibling = np.array([col[d.sibling] for d in darts], dtype=np.intp)
+        return cls(col=col, sibling=sibling, slots=slots, slot_index=slot_index)
+
+    @classmethod
+    def for_gauge(cls, m: MultiGM, x: GaugeVector) -> tuple["_Layout", np.ndarray]:
+        """Layout in incidence order and the one-row array holding ``x``."""
+        lay = cls.of(m, m.graph.directed_edges())
+        return lay, np.array([[float(x[d]) for d in lay.col]])
+
+
 # -- residuals ------------------------------------------------------------
 
 
-def _slot_reduction(f: FactorTable, x: GaugeVector, d: DirectedEdge) -> np.ndarray:
-    """Length-2 vector ``[h(x_d=0 part), dh/dx_d]`` for the slot ``d``."""
-    arr = f.as_array()
-    keep = f.variables.index(d)
-    for i in reversed(range(len(f.variables))):
-        if i == keep:
-            continue
-        w = np.array([1.0, x[f.variables[i]]])
-        arr = np.tensordot(arr, w, axes=([i], [0]))
-    return arr
-
-
 def _residual_parts(
-    m: MultiGM, x: GaugeVector
-) -> tuple[dict[DirectedEdge, float], dict[DirectedEdge, float]]:
-    """Gradient of ``log z`` and normalized single-colored residual per slot."""
-    grad: dict[DirectedEdge, float] = {}
-    coloring: dict[DirectedEdge, float] = {}
+    m: MultiGM, lay: _Layout, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of ``log z`` and normalized single-colored residual per slot.
+
+    One kernel pass per node covers every slot of every row: with the
+    slot's own weight included, the bit-1 sum over the node sum is the
+    slot's tilted mean ``x_d * dh/dx_d / h``.
+    """
+    sib = x[:, lay.sibling]
+    prod = x * sib
+    beta = prod / (1.0 + prod)
+    mean = np.empty_like(x)
     for a in m.graph.nodes:
-        f = m.factors[a]
-        for d in f.variables:
-            v = _slot_reduction(f, x, d)
-            h = v[0] + x[d] * v[1]
-            beta = edge_belief(x, d.edge)
-            grad[d] = float(v[1] / h - x[d.sibling] / (1.0 + x[d] * x[d.sibling]))
-            if beta > 0 and math.isfinite(beta):
-                coloring[d] = float(abs(x[d] * v[1] / h - beta) / beta)
-            else:
-                coloring[d] = math.inf
+        cols = lay.slots[a]
+        w = node_weights(m.factors[a].table, x[:, cols])
+        mean[:, cols] = slot_sums(w)[:, :, 1] / w.sum(axis=1)[:, None]
+    grad = mean / x - sib / (1.0 + prod)
+    ok = (beta > 0) & np.isfinite(beta)
+    coloring = np.full_like(x, math.inf)
+    coloring[ok] = np.abs(mean[ok] - beta[ok]) / beta[ok]
     return grad, coloring
+
+
+def _residual_rows(m: MultiGM, lay: _Layout, x: np.ndarray) -> np.ndarray:
+    """Per row: max of the gradient norm and the normalized coloring residual."""
+    if x.shape[1] == 0:
+        return np.zeros(len(x))
+    grad, coloring = _residual_parts(m, lay, x)
+    res = np.maximum(np.abs(grad).max(axis=1), coloring.max(axis=1))
+    return np.where(np.isnan(res), math.inf, res)
 
 
 def bp_residual(m: MultiGM, x: GaugeVector) -> dict[DirectedEdge, float]:
@@ -135,35 +202,44 @@ def bp_residual(m: MultiGM, x: GaugeVector) -> dict[DirectedEdge, float]:
     if not m.is_soft:
         raise ModelError("residuals need a soft model; soften it first")
     check_gauge(m, x)
-    grad, _ = _residual_parts(m, x)
-    return grad
+    lay, row = _Layout.for_gauge(m, x)
+    grad, _ = _residual_parts(m, lay, row)
+    return {d: float(grad[0, j]) for d, j in lay.col.items()}
 
 
 def residual_norm(m: MultiGM, x: GaugeVector) -> float:
     """Max of the gradient norm and the normalized coloring residual."""
-    grad, coloring = _residual_parts(m, x)
-    values = list(grad.values()) + list(coloring.values())
-    return max((abs(v) for v in values), default=0.0)
+    lay, row = _Layout.for_gauge(m, x)
+    return float(_residual_rows(m, lay, row)[0])
 
 
 # -- closed-form edge update ----------------------------------------------
 
 
-def edge_pair_update(c: QuadCoeffs) -> tuple[float, float]:
-    """Physical stationary pair of ``h/(1+x_p x_q)`` for one edge's quadratic."""
-    if c.h10 <= 0 or c.h01 <= 0:
+def _pair_update(
+    h00: np.ndarray, h10: np.ndarray, h01: np.ndarray, h11: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Physical stationary pairs of ``h/(1+x_p x_q)``, one per row."""
+    if (h10 <= 0).any() or (h01 <= 0).any():
         raise DegenerateEdgeError(
             "linear coefficient vanished (h10 or h01 = 0); soften the model"
         )
-    diff = c.h11 - c.h00
-    root = math.sqrt(diff * diff + 4.0 * c.h01 * c.h10)
-    if diff >= 0:
-        num = diff + root
-    else:
+    diff = h11 - h00
+    cross = 4.0 * h01 * h10
+    root = np.sqrt(diff * diff + cross)
+    num = diff + root
+    neg = diff < 0
+    if neg.any():
         # conjugate form: avoids cancellation when the cross product is
         # tiny relative to (h11 - h00)**2
-        num = 4.0 * c.h01 * c.h10 / (root - diff)
-    return num / (2.0 * c.h10), num / (2.0 * c.h01)
+        num[neg] = cross[neg] / (root[neg] - diff[neg])
+    return num / (2.0 * h10), num / (2.0 * h01)
+
+
+def edge_pair_update(c: QuadCoeffs) -> tuple[float, float]:
+    """Physical stationary pair of ``h/(1+x_p x_q)`` for one edge's quadratic."""
+    x_p, x_q = _pair_update(*(np.array([v], dtype=float) for v in c.as_tuple()))
+    return float(x_p[0]), float(x_q[0])
 
 
 def bp_value(c: QuadCoeffs) -> float:
@@ -179,37 +255,105 @@ def bp_value(c: QuadCoeffs) -> float:
     return 0.5 * (c.h11 + c.h00 + root)
 
 
+def _edge_coeffs(
+    m: MultiGM, lay: _Layout, x: np.ndarray, edge: EdgeId
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row ``(h00, h10, h01, h11)`` of the edge's local quadratic.
+
+    The edge's own slots get weight 1 on both bits, so the kernel's sums
+    are the coefficients themselves.  Other nodes' factors are omitted:
+    a positive constant for soft models, it leaves the stationary pair be.
+    """
+    tail, head = m.graph.endpoints[edge]
+    d_p, d_q = DirectedEdge(edge, True), DirectedEdge(edge, False)
+    i_p, i_q = lay.slot_index[d_p], lay.slot_index[d_q]
+    if tail == head:
+        w1 = x[:, lay.slots[tail]]
+        w1[:, [i_p, i_q]] = 1.0
+        s = slot_pair_sums(node_weights(m.factors[tail].table, w1), i_p, i_q)
+        return s[:, 0, 0], s[:, 1, 0], s[:, 0, 1], s[:, 1, 1]
+    lin = []
+    for node, i in ((tail, i_p), (head, i_q)):
+        w1 = x[:, lay.slots[node]]
+        w1[:, i] = 1.0
+        lin.append(slot_sums(node_weights(m.factors[node].table, w1))[:, i])
+    (a0, a1), (b0, b1) = lin[0].T, lin[1].T
+    return a0 * b0, a1 * b0, a0 * b1, a1 * b1
+
+
 def _edge_quad_local(m: MultiGM, x: GaugeVector, edge: EdgeId) -> QuadCoeffs:
     """Quadratic coefficients at one edge, omitting the other nodes' factor.
 
     The omitted factor is a positive constant for soft models, so the
     stationary pair is unchanged.
     """
-    tail, head = m.graph.endpoints[edge]
-    d_p, d_q = DirectedEdge(edge, True), DirectedEdge(edge, False)
-    if tail == head:
-        f = m.factors[tail]
-        arr = f.as_array()
-        ip, iq = f.variables.index(d_p), f.variables.index(d_q)
-        for i in reversed(range(len(f.variables))):
-            if i in (ip, iq):
-                continue
-            arr = np.tensordot(arr, np.array([1.0, x[f.variables[i]]]), axes=([i], [0]))
-        if ip > iq:  # axes collapsed in original order; put d_p first
-            arr = arr.T
-        return QuadCoeffs(
-            h00=float(arr[0, 0]), h10=float(arr[1, 0]),
-            h01=float(arr[0, 1]), h11=float(arr[1, 1]),
-        )
-    lin = {}
-    for node, d in ((tail, d_p), (head, d_q)):
-        v = _slot_reduction(m.factors[node], x, d)
-        lin[d] = (float(v[0]), float(v[1]))
-    (a0, a1), (b0, b1) = lin[d_p], lin[d_q]
-    return QuadCoeffs(h00=a0 * b0, h10=a1 * b0, h01=a0 * b1, h11=a1 * b1)
+    lay, row = _Layout.for_gauge(m, x)
+    return QuadCoeffs(*(float(c[0]) for c in _edge_coeffs(m, lay, row, edge)))
 
 
 # -- solver ----------------------------------------------------------------
+
+
+def _lockstep(
+    m: MultiGM, lay: _Layout, edges: Sequence[EdgeId], x: np.ndarray,
+    cfg: SolverConfig,
+) -> list[tuple[np.ndarray, float, int, bool]]:
+    """Sweep a batch of restarts together, each until its own convergence.
+
+    Row ``r`` of ``x`` is restart ``r``'s initial gauge.  Returns per row
+    the final gauge, residual, sweep count and convergence flag.  A row
+    leaves the batch after the sweep that brings its residual within the
+    tolerance, so its iterates are exactly those of a solve on its own.
+    """
+    x = x.copy()
+    n = len(x)
+    final, res, sweeps = np.empty_like(x), np.empty(n), np.empty(n, dtype=int)
+    active = np.arange(n)
+    keep_old, take_new = cfg.damping, 1.0 - cfg.damping
+    lo, hi = _CLAMP
+    cols = [(lay.col[DirectedEdge(e, True)], lay.col[DirectedEdge(e, False)])
+            for e in edges]
+    for sweep in range(1, cfg.max_sweeps + 1):
+        for e, (c_p, c_q) in zip(edges, cols):
+            xp, xq = _pair_update(*_edge_coeffs(m, lay, x, e))
+            for c, target in ((c_p, xp), (c_q, xq)):
+                step = keep_old * x[:, c] + take_new * target
+                x[:, c] = np.minimum(np.maximum(step, lo), hi)
+        r = _residual_rows(m, lay, x)
+        stop = (r <= cfg.tolerance) | (sweep == cfg.max_sweeps)
+        rows = active[stop]
+        final[rows], res[rows], sweeps[rows] = x[stop], r[stop], sweep
+        x, active = x[~stop], active[~stop]
+        if not len(active):
+            break
+    converged = res <= cfg.tolerance
+    return [(final[i], float(res[i]), int(sweeps[i]), bool(converged[i]))
+            for i in range(n)]
+
+
+def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
+    """Every restart's own result, in restart order, on a soft model with edges."""
+    darts = sorted(m.graph.directed_edges(), key=str)
+    edges = sorted(m.graph.edges)
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = np.log(cfg.init_range[0]), np.log(cfg.init_range[1])
+    # one draw per restart and dart, restart-major: the same stream and
+    # order as drawing each restart's gauge in turn
+    x0 = np.exp(rng.uniform(lo, hi, size=(cfg.restarts, len(darts))))
+    lay = _Layout.of(m, darts)
+    k = max(len(f.variables) for f in m.factors.values())
+    batch = max(1, _BATCH_ENTRIES >> k)
+    out = []
+    for start in range(0, cfg.restarts, batch):
+        for row, res, sweeps, converged in _lockstep(
+            m, lay, edges, x0[start : start + batch], cfg
+        ):
+            x = dict(zip(darts, row.tolist()))
+            out.append(BPGauge(
+                x=x, residual=res, value=gauge_function(m, x), sweeps=sweeps,
+                converged=converged,
+            ))
+    return out
 
 
 def solve_bp(m: MultiGM, cfg: SolverConfig = SolverConfig()) -> BPGauge:
@@ -224,12 +368,8 @@ def solve_bp(m: MultiGM, cfg: SolverConfig = SolverConfig()) -> BPGauge:
     softened = not m.is_soft
     if softened:
         m = soften(m, cfg.soften_eps)
-    darts = sorted(m.graph.directed_edges(), key=str)
-    edges = sorted(m.graph.edges)
-    rng = np.random.default_rng(cfg.seed)
-    lo, hi = np.log(cfg.init_range[0]), np.log(cfg.init_range[1])
 
-    if not edges:
+    if not m.graph.edges:
         value = 1.0
         for a in m.graph.nodes:
             value *= float(m.factors[a].table[0])
@@ -241,34 +381,12 @@ def solve_bp(m: MultiGM, cfg: SolverConfig = SolverConfig()) -> BPGauge:
     best: BPGauge | None = None
     fallback: BPGauge | None = None
     values: list[float] = []
-    for _ in range(max(1, cfg.restarts)):
-        x = {d: float(np.exp(rng.uniform(lo, hi))) for d in darts}
-        converged = False
-        sweeps = 0
-        res = math.inf
-        for sweeps in range(1, cfg.max_sweeps + 1):
-            for e in edges:
-                xp, xq = edge_pair_update(_edge_quad_local(m, x, e))
-                d_p, d_q = DirectedEdge(e, True), DirectedEdge(e, False)
-                # wide clamp: keeps extreme near-hard iterates representable
-                x[d_p] = min(max(cfg.damping * x[d_p] + (1.0 - cfg.damping) * xp,
-                                 1e-18), 1e18)
-                x[d_q] = min(max(cfg.damping * x[d_q] + (1.0 - cfg.damping) * xq,
-                                 1e-18), 1e18)
-            res = residual_norm(m, x)
-            if res <= cfg.tolerance:
-                converged = True
-                break
-        value = gauge_function(m, x)
-        attempt = BPGauge(
-            x=dict(x), residual=res, value=value, sweeps=sweeps,
-            converged=converged, softened=softened,
-        )
-        if converged:
-            values.append(value)
-            if best is None or value > best.value:
+    for attempt in _restarts(m, cfg):
+        if attempt.converged:
+            values.append(attempt.value)
+            if best is None or attempt.value > best.value:
                 best = attempt
-        elif fallback is None or res < fallback.residual:
+        elif fallback is None or attempt.residual < fallback.residual:
             fallback = attempt
 
     distinct: list[float] = []
@@ -293,13 +411,8 @@ def marginals_from_gauge(m: MultiGM, x: GaugeVector) -> Beliefs:
     node_beliefs = {}
     for a in m.graph.nodes:
         f = m.factors[a]
-        arr = f.as_array().copy()
-        for i, d in enumerate(f.variables):
-            shape = [1] * arr.ndim
-            shape[i] = 2
-            arr = arr * np.array([1.0, x[d]]).reshape(shape)
-        flat = arr.reshape(-1, order="F")
-        node_beliefs[a] = flat / flat.sum()
+        w = node_weights(f.table, np.array([[x[d] for d in f.variables]]))[0]
+        node_beliefs[a] = w / w.sum()
     marginals = {e: edge_belief(x, e) for e in m.graph.edges}
     return Beliefs(node_beliefs=node_beliefs, edge_marginals=marginals)
 

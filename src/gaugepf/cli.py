@@ -3,7 +3,9 @@
 Commands print one JSON report to stdout (optionally copied to a file).
 Reports carry no timestamps and use sorted keys, so a fixed seed and flags
 reproduce them byte for byte.  Exit codes: 0 success or informative,
-1 invariant failure, 2 solver non-convergence, 3 input error.
+1 invariant failure, 2 solver non-convergence, 3 input error (a bad model
+file, an invalid solver flag, or a model too large for ``verify``'s
+symbolic check).
 """
 
 from __future__ import annotations
@@ -543,7 +545,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "loops":
             return cmd_loops(m, args)
         raise AssertionError(args.command)
-    except (ModelError, GraphError) as exc:
+    except (ModelError, GraphError, bp_mod.ConfigError, poly_mod.PolyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -84,32 +84,86 @@ def transform_factors(m: MultiGM, x: GaugeVector) -> MultiGM:
     return MultiGM(graph=m.graph, factors=factors)
 
 
-def _node_reduce(f: FactorTable, weights: Sequence[np.ndarray]) -> float:
-    """Contract the factor table with one length-2 weight vector per slot."""
-    arr = f.as_array()
-    for w in reversed(weights):
-        arr = np.tensordot(arr, w, axes=([arr.ndim - 1], [0]))
-    return float(arr)
+def node_weights(
+    table: np.ndarray, w1: np.ndarray, w0: np.ndarray | None = None
+) -> np.ndarray:
+    """The node-table kernel: every configuration's weighted table entry.
+
+    ``w1`` and ``w0`` have shape ``(R, k)``: one weight pair per slot for
+    each of ``R`` rows (``w0`` defaults to ones).  Returns the ``(R, 2**k)``
+    array ``W[r, i] = table[i] * prod_j (w1[r, j] if bit j of i else
+    w0[r, j])``.  It is built by doubling one row vector slot by slot, in
+    place, so memory is one ``(R, 2**k)`` array.  Sums of ``W`` give every
+    reduction of the node against the weights: :func:`slot_sums` and
+    :func:`slot_pair_sums`, and ``W.sum(axis=1)`` for the full contraction.
+    """
+    rows, k = w1.shape
+    out = np.empty((rows, 1 << k))
+    out[:, 0] = 1.0
+    for j in range(k):
+        n = 1 << j
+        np.multiply(out[:, :n], w1[:, j, None], out=out[:, n : 2 * n])
+        if w0 is not None:
+            out[:, :n] *= w0[:, j, None]
+    out *= table
+    return out
+
+
+def slot_sums(w: np.ndarray) -> np.ndarray:
+    """``(R, k, 2)``: for every slot, the sums of rows of ``W`` over its bit = 0, 1.
+
+    ``W`` is a :func:`node_weights` result.  Works from the top slot down:
+    the two halves of the current array hold the top bit's two sums, and
+    adding them folds that bit away.  About ``3 * 2**k`` additions per row,
+    all over contiguous blocks.
+    """
+    rows, n = w.shape
+    k = n.bit_length() - 1
+    out = np.empty((rows, k, 2))
+    for i in reversed(range(k)):
+        halves = w.reshape(rows, 2, 1 << i)
+        out[:, i] = halves.sum(axis=2)
+        w = halves[:, 0] + halves[:, 1]
+    return out
+
+
+def slot_pair_sums(w: np.ndarray, i: int, j: int) -> np.ndarray:
+    """``(R, 2, 2)`` sums of rows of ``W`` over slots ``i != j``; entry ``[b_i, b_j]``.
+
+    Folds every other slot away, top down (so a slot's bit position never
+    moves before its turn), with elementwise additions only.
+    """
+    rows, n = w.shape
+    for s in reversed(range(n.bit_length() - 1)):
+        if s not in (i, j):
+            v = w.reshape(rows, -1, 2, 1 << s)
+            w = (v[:, :, 0] + v[:, :, 1]).reshape(rows, -1)
+    s = w.reshape(rows, 2, 2)  # [higher slot's bit, lower slot's bit]
+    return s.transpose(0, 2, 1) if i < j else s
+
+
+def _reduce_one(
+    f: FactorTable, w1: Sequence[float], w0: Sequence[float] | None = None
+) -> float:
+    """Full contraction of one factor table against one weight pair per slot."""
+    w0_row = None if w0 is None else np.array([w0], dtype=float)
+    return float(node_weights(f.table, np.array([w1], dtype=float), w0_row)[0].sum())
 
 
 def h_node(m: MultiGM, a: NodeId, x: GaugeVector) -> float:
     """Node polynomial ``sum_s f_a(s) prod_d x_d**s_d`` at the node's gauge values."""
     f = m.factors[a]
-    weights = []
     for d in f.variables:
         _check_positive(x[d], f"gauge value at {d}")
-        weights.append(np.array([1.0, x[d]]))
-    return _node_reduce(f, weights)
+    return _reduce_one(f, [x[d] for d in f.variables])
 
 
 def h_node_partial(m: MultiGM, a: NodeId, d: DirectedEdge, x: GaugeVector) -> float:
     """Partial derivative of :func:`h_node` with respect to the slot ``d``."""
     f = m.factors[a]
-    weights = [
-        np.array([0.0, 1.0]) if v == d else np.array([1.0, x[v]])
-        for v in f.variables
-    ]
-    return _node_reduce(f, weights)
+    w0 = [0.0 if v == d else 1.0 for v in f.variables]
+    w1 = [1.0 if v == d else x[v] for v in f.variables]
+    return _reduce_one(f, w1, w0)
 
 
 def gauge_function(m: MultiGM, x: GaugeVector) -> float:
@@ -149,16 +203,18 @@ def q_node(m: MultiGM, x: GaugeVector, a: NodeId, colored: Sequence[int]) -> flo
             f"colored vector for node {a!r}: expected {len(f.variables)} bits"
         )
     prefactor = 1.0
-    weights = []
+    w0, w1 = [], []
     for d, bit in zip(f.variables, colored):
         _check_positive(x[d], f"gauge value at {d}")
         if bit:
             beta = edge_belief(x, d.edge)
             prefactor /= beta
-            weights.append(np.array([-beta, x[d] * (1.0 - beta)]))
+            w0.append(-beta)
+            w1.append(x[d] * (1.0 - beta))
         else:
-            weights.append(np.array([1.0, x[d]]))
-    return prefactor * _node_reduce(f, weights)
+            w0.append(1.0)
+            w1.append(x[d])
+    return prefactor * _reduce_one(f, w1, w0)
 
 
 def z_sigma(m: MultiGM, x: GaugeVector, config: Sequence[int]) -> float:

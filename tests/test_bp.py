@@ -23,7 +23,7 @@ from gaugepf import (
     soften,
     solve_bp,
 )
-from gaugepf.bp import DegenerateEdgeError, PolySelfEdgeError, SolverConfig
+from gaugepf.bp import ConfigError, DegenerateEdgeError, PolySelfEdgeError, SolverConfig
 from gaugepf.families import (
     matching_model,
     permanent_model,
@@ -78,6 +78,20 @@ class TestResidual:
         x = {d: 1.0 for d in m.graph.directed_edges()}
         with pytest.raises(ModelError):
             bp_residual(m, x)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"damping": -0.1}, {"damping": 1.0}, {"tolerance": 0.0},
+        {"tolerance": math.inf}, {"max_sweeps": 0}, {"restarts": 0},
+        {"soften_eps": 0.0}, {"init_range": (0.0, 1.0)}, {"init_range": (2.0, 1.0)},
+        {"init_range": (1.0, math.inf)},
+    ],
+)
+def test_solver_config_rejects(field):
+    with pytest.raises(ConfigError):
+        SolverConfig(**field)
 
 
 class TestEdgePairUpdate:

@@ -209,6 +209,18 @@ class TestCmdBP:
         assert r["ratio"] <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--tol", "-1"], ["--damping", "1.5"], ["--restarts", "0"], ["--max-sweeps", "0"]],
+)
+def test_invalid_solver_flag_exit_three(capsys, two_node_file, flags):
+    code = main(["bp", two_node_file, *flags])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 class TestCmdContract:
     def test_exact_mode_constant(self, capsys, self_edge_file):
         code, report, _ = run(capsys, ["contract", self_edge_file])
@@ -327,6 +339,17 @@ class TestCmdVerify:
         assert code == EXIT_OK
         checks = {c["name"]: c["passed"] for c in report["checks"]}
         assert checks["tree_exactness"] is True
+
+    def test_too_large_for_symbolic_check_exit_three(self, capsys, tmp_path):
+        from gaugepf.families import matching_model
+
+        path = tmp_path / "k45.json"
+        path.write_text(serialize_model(matching_model(4, 5)))
+        code = main(["verify", str(path), "--restarts", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert "22 variables" in captured.err
 
     def test_corrupted_gauge_matrix_fails_exit_one(self, capsys, monkeypatch):
         true_matrix = gaugepf.gauge.gauge_matrix

@@ -17,7 +17,15 @@ from gaugepf import (
 )
 from gaugepf.bp import SolverConfig, solve_bp
 from gaugepf.families import random_soft_model
-from gaugepf.gauge import MIN_GAUGE_VALUE, edge_belief, gauge_matrix, h_node_partial
+from gaugepf.gauge import (
+    MIN_GAUGE_VALUE,
+    edge_belief,
+    gauge_matrix,
+    h_node_partial,
+    node_weights,
+    slot_pair_sums,
+    slot_sums,
+)
 from gaugepf.multigraph import DirectedEdge as D
 
 from conftest import make_model
@@ -209,3 +217,57 @@ class TestEdgeBelief:
                 two_node_model, a, x
             )
             assert marg == pytest.approx(beta, rel=1e-12)
+
+
+class TestNodeWeights:
+    """The node-table kernel against brute-force sums over configurations."""
+
+    @given(
+        k=st.integers(0, 10),
+        rows=st.integers(1, 4),
+        with_w0=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reductions_match_brute_force(self, k, rows, with_w0, seed, data):
+        rng = np.random.default_rng(seed)
+        table = np.exp(rng.uniform(-2.3, 2.3, 1 << k))
+        w1 = np.exp(rng.uniform(-2.3, 2.3, (rows, k)))
+        w0 = np.exp(rng.uniform(-2.3, 2.3, (rows, k))) if with_w0 else None
+        w0_full = w0 if with_w0 else np.ones((rows, k))
+
+        brute = np.zeros((rows, 1 << k))
+        for c in range(1 << k):
+            weight = np.full(rows, table[c])
+            for j in range(k):
+                weight = weight * (w1[:, j] if (c >> j) & 1 else w0_full[:, j])
+            brute[:, c] = weight
+        bits = [[(c >> j) & 1 for j in range(k)] for c in range(1 << k)]
+
+        w = node_weights(table, w1, w0)
+        np.testing.assert_allclose(w.sum(axis=1), brute.sum(axis=1), rtol=1e-12)
+        for i in range(k):
+            expected = np.stack(
+                [brute[:, [b[i] == v for b in bits]].sum(axis=1) for v in (0, 1)], axis=1
+            )
+            np.testing.assert_allclose(slot_sums(w)[:, i], expected, rtol=1e-12)
+        if k >= 2:
+            i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                                      unique=True))
+            expected = np.array([[[brute[r, [b[i] == u and b[j] == v for b in bits]].sum()
+                                   for v in (0, 1)] for u in (0, 1)]
+                                 for r in range(rows)])
+            np.testing.assert_allclose(slot_pair_sums(w, i, j), expected, rtol=1e-12)
+
+        for r in range(rows):
+            one = node_weights(table, w1[r : r + 1], None if w0 is None else w0[r : r + 1])
+            np.testing.assert_array_equal(one[0], w[r])
+            np.testing.assert_array_equal(one.sum(axis=1)[0], w.sum(axis=1)[r])
+            np.testing.assert_array_equal(slot_sums(one)[0], slot_sums(w)[r])
+            for i in range(k):
+                for j in range(k):
+                    if j != i:
+                        np.testing.assert_array_equal(
+                            slot_pair_sums(one, i, j)[0], slot_pair_sums(w, i, j)[r]
+                        )
