@@ -14,6 +14,7 @@ from .model import (
     MultiGM,
     contract_model,
     evaluate_weight,
+    exact_summary,
     map_energy_exact,
     partition_exact,
     soften,

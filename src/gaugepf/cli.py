@@ -30,7 +30,7 @@ from .model import (
     ModelError,
     MultiGM,
     contract_model,
-    map_energy_exact,
+    exact_summary,
     partition_exact,
     soften,
 )
@@ -194,8 +194,7 @@ def _gauge_doc(x: dict[DirectedEdge, float]) -> dict[str, float]:
 
 
 def cmd_exact(m: MultiGM, args: argparse.Namespace) -> int:
-    z = partition_exact(m, guard=args.guard)
-    energy, argmax = map_energy_exact(m, guard=args.guard)
+    z, energy, argmax = exact_summary(m, guard=args.guard)
     report = {
         "command": "exact",
         "model_digest": model_digest(m),
@@ -360,11 +359,17 @@ def _verify_one_model(
 ) -> dict[str, tuple[bool, str]]:
     """Run every invariant on one model; returns name -> (passed, detail)."""
     out: dict[str, tuple[bool, str]] = {}
+    gauges = [_random_gauge(m, rng) for _ in range(3)]
+    order = list(m.graph.edges)
+    rng.shuffle(order)
+    # refuse a model too large for the symbolic check before any brute force
+    for e in m.graph.edges:
+        poly_mod.check_contraction_sizes(m.graph, [e])
+    poly_mod.check_contraction_sizes(m.graph, order)
     z = partition_exact(m)
 
     worst = 0.0
-    for _ in range(3):
-        x = _random_gauge(m, rng)
+    for x in gauges:
         zt = partition_exact(gauge_mod.transform_factors(m, x))
         worst = max(worst, _rel_err(zt, z))
     out["gauge_invariance"] = (worst <= 1e-9, f"max rel err {worst:.2e}")
@@ -385,8 +390,6 @@ def _verify_one_model(
         ok and worst <= 1e-12, f"max coeff rel err {worst:.2e}"
     )
 
-    order = list(m.graph.edges)
-    rng.shuffle(order)
     h = h0
     current = m
     worst = 0.0

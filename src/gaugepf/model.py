@@ -5,7 +5,16 @@ bit-configuration of the node's incident directed edges.  The global weight
 of an edge configuration is the product of factor values, with each directed
 slot reading the bit of its undirected edge (a self-edge reads its bit
 twice).  ``partition_exact`` and ``map_energy_exact`` enumerate all
-configurations and are the reference oracles for everything downstream.
+configurations and are the reference oracles for everything downstream;
+``exact_summary`` gives both from one pass.
+
+Enumeration runs over blocks of ``2**16`` consecutive configuration indices
+on a plan built once per model.  A node's table index splits into an offset
+from edge bits 16 and up, one number per block, and a part from the low 16
+edge bits that is the same in every block.  The plan keeps that part as two
+256-entry vectors, one for bits 0-7 and one for bits 8-15; per block, their
+outer sum fills one reused index buffer per node in turn, and the node's
+table, shifted by its offset, is gathered through it.
 """
 
 from __future__ import annotations
@@ -21,6 +30,9 @@ from .multigraph import DirectedEdge, EdgeId, GraphError, MultiGraph, NodeId
 DEFAULT_ENUMERATION_GUARD = 24
 
 Config = tuple[int, ...]
+
+# brute force runs over blocks of 2**_BLOCK_BITS consecutive configurations
+_BLOCK_BITS = 16
 
 
 class ModelError(ValueError):
@@ -141,33 +153,113 @@ def _check_guard(m: MultiGM, guard: int) -> None:
         )
 
 
-def _block_weights(m: MultiGM, idx: np.ndarray) -> np.ndarray:
-    """Weights of the configurations whose global indices are ``idx``."""
+@dataclass
+class _BlockPlan:
+    """Per-model set-up of the brute-force enumeration.
+
+    ``nodes`` holds, per node in node order, its table, the index parts
+    that edge bits 8-15 and edge bits 0-7 contribute (indexed by those
+    bits), and the ``(edge bit, slot)`` pairs of edge bits 16 and up.
+    ``index``, ``weights`` and ``gathered`` are scratch of one block's size,
+    reused by every block.
+    """
+
+    nodes: list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]]
+    index: np.ndarray
+    weights: np.ndarray
+    gathered: np.ndarray
+
+
+def _block_plan(m: MultiGM) -> _BlockPlan:
     pos = {e: j for j, e in enumerate(m.graph.edges)}
-    w = np.ones(idx.shape, dtype=float)
+    low_bits = min(len(m.graph.edges), _BLOCK_BITS)
+    byte0 = np.arange(1 << min(low_bits, 8), dtype=np.intp)
+    byte1 = np.arange(1 << max(low_bits - 8, 0), dtype=np.intp)
+    nodes = []
     for a in m.graph.nodes:
         f = m.factors[a]
-        local = np.zeros(idx.shape, dtype=np.int64)
+        part0 = np.zeros_like(byte0)
+        part1 = np.zeros_like(byte1)
+        high = []
         for i, d in enumerate(f.variables):
-            local |= ((idx >> pos[d.edge]) & 1) << i
-        w *= f.table[local]
+            p = pos[d.edge]
+            if p < 8:
+                part0 |= ((byte0 >> p) & 1) << i
+            elif p < _BLOCK_BITS:
+                part1 |= ((byte1 >> (p - 8)) & 1) << i
+            else:
+                high.append((p, i))
+        nodes.append((f.table, part1, part0, tuple(high)))
+    size = 1 << low_bits
+    return _BlockPlan(
+        nodes, np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
+    )
+
+
+def _block_weights(plan: _BlockPlan, lo: int) -> np.ndarray:
+    """Weights of configurations ``lo, lo + 1, ...`` over one block.
+
+    Returns ``plan.weights``, overwritten by the next call.
+    """
+    w, index = plan.weights, plan.index
+    if not plan.nodes:
+        w.fill(1.0)
+    for k, (table, part1, part0, high) in enumerate(plan.nodes):
+        offset = sum(((lo >> p) & 1) << i for p, i in high)
+        np.add(part1[:, None], part0, out=index.reshape(part1.size, part0.size))
+        # indices are in range by construction; "clip" lets take write to out
+        if k == 0:
+            np.take(table[offset:], index, out=w, mode="clip")
+        else:
+            np.take(table[offset:], index, out=plan.gathered, mode="clip")
+            w *= plan.gathered
     return w
+
+
+def _scan(m: MultiGM, guard: int) -> tuple[float, float, int]:
+    """One pass over all configurations: (sum, largest weight, its index)."""
+    _check_guard(m, guard)
+    plan = _block_plan(m)
+    n = 1 << len(m.graph.edges)
+    total = 0.0
+    best = -math.inf
+    best_idx = 0
+    for lo in range(0, n, plan.weights.size):
+        w = _block_weights(plan, lo)
+        total += float(w.sum())
+        j = int(np.argmax(w))
+        if w[j] > best:
+            best = float(w[j])
+            best_idx = lo + j
+    return total, best, best_idx
 
 
 def partition_exact(m: MultiGM, guard: int = DEFAULT_ENUMERATION_GUARD) -> float:
     """Brute-force partition function: sum over all ``2**|E|`` configurations.
 
-    Terms are enumerated in ascending configuration-index order (bit j of
-    the index is edge j), so results are reproducible bit-for-bit.
+    Bit j of a configuration's index is the bit of edge j.  The sum runs
+    over blocks of ``2**16`` consecutive indices in ascending order, on the
+    block plan of the module docstring: a block's weights are the products
+    of its nodes' gathered table values, taken in node order starting from
+    the first node's value; numpy sums each block, and the block sums are
+    added one after another.  Results are reproducible bit-for-bit.
     """
-    _check_guard(m, guard)
-    n = 1 << len(m.graph.edges)
-    total = 0.0
-    block = 1 << 16
-    for lo in range(0, n, block):
-        idx = np.arange(lo, min(lo + block, n), dtype=np.int64)
-        total += float(_block_weights(m, idx).sum())
-    return total
+    return _scan(m, guard)[0]
+
+
+def exact_summary(
+    m: MultiGM, guard: int = DEFAULT_ENUMERATION_GUARD
+) -> tuple[float, float, Config]:
+    """``(Z, map_energy, argmax)`` from one brute-force pass.
+
+    Equals ``partition_exact`` and ``map_energy_exact`` bit for bit, and
+    raises as the latter does when every configuration has zero weight.
+    """
+    z, best, best_idx = _scan(m, guard)
+    if best <= 0:
+        raise ModelError("all configurations have zero weight")
+    config = tuple((best_idx >> j) & 1 for j in range(len(m.graph.edges)))
+    return z, -math.log(best), config
 
 
 def map_energy_exact(
@@ -178,22 +270,8 @@ def map_energy_exact(
     Ties resolve to the smallest configuration index.  Raises if every
     configuration has zero weight.
     """
-    _check_guard(m, guard)
-    n = 1 << len(m.graph.edges)
-    best = -math.inf
-    best_idx = 0
-    block = 1 << 16
-    for lo in range(0, n, block):
-        idx = np.arange(lo, min(lo + block, n), dtype=np.int64)
-        w = _block_weights(m, idx)
-        j = int(np.argmax(w))
-        if w[j] > best:
-            best = float(w[j])
-            best_idx = int(idx[j])
-    if best <= 0:
-        raise ModelError("all configurations have zero weight")
-    config = tuple((best_idx >> j) & 1 for j in range(len(m.graph.edges)))
-    return -math.log(best), config
+    _, energy, config = exact_summary(m, guard)
+    return energy, config
 
 
 def soften(m: MultiGM, eps: float) -> MultiGM:

@@ -12,12 +12,12 @@ throughout; only contraction merges factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .model import FactorTable, MultiGM
-from .multigraph import DirectedEdge, EdgeId, GraphError, NodeId
+from .multigraph import DirectedEdge, EdgeId, GraphError, MultiGraph, NodeId
 
 MAX_NODE_POLY_VARS = 20
 
@@ -109,14 +109,39 @@ class FactoredGaugePoly:
         return out
 
 
-def node_poly_from_factor(f: FactorTable) -> NodePoly:
-    """Monomial map of a factor table: subset mask -> table entry (zeros dropped)."""
-    if len(f.variables) > MAX_NODE_POLY_VARS:
+def _check_node_size(node: NodeId, n_vars: int) -> None:
+    if n_vars > MAX_NODE_POLY_VARS:
         raise PolyError(
-            f"node {f.node!r} has {len(f.variables)} variables; the factored-"
+            f"node {node!r} has {n_vars} variables; the factored-"
             f"polynomial layer caps at {MAX_NODE_POLY_VARS} - reduce the "
             "instance size"
         )
+
+
+def _check_merge_size(edge: EdgeId, n_vars: int) -> None:
+    if n_vars > MAX_NODE_POLY_VARS:
+        raise PolyError(
+            f"contracting {edge!r} would create a polynomial with "
+            f"{n_vars} variables; the cap is "
+            f"{MAX_NODE_POLY_VARS} - reduce the instance size"
+        )
+
+
+def check_contraction_sizes(g: MultiGraph, order: Sequence[EdgeId]) -> None:
+    """Raise the ``PolyError`` that ``build`` followed by ``exact_contract_poly``
+    along ``order`` would raise, from the graph's slot counts alone."""
+    for a in g.nodes:
+        _check_node_size(a, len(g.incidence[a]))
+    for e in order:
+        tail, head = g.endpoints[e]
+        if tail != head:
+            _check_merge_size(e, len(g.incidence[tail]) + len(g.incidence[head]) - 2)
+        g = g.contract_edge(e)
+
+
+def node_poly_from_factor(f: FactorTable) -> NodePoly:
+    """Monomial map of a factor table: subset mask -> table entry (zeros dropped)."""
+    _check_node_size(f.node, len(f.variables))
     coeffs = {i: float(v) for i, v in enumerate(f.table) if v != 0.0}
     return NodePoly(node=f.node, variables=f.variables, coeffs=coeffs)
 
@@ -236,12 +261,7 @@ def exact_contract_poly(h: FactoredGaugePoly, edge: EdgeId) -> FactoredGaugePoly
         d_a = d_q if survivor == i_p else d_p
         keep_s = tuple(v for v in p_s.variables if v != d_s)
         keep_a = tuple(v for v in p_a.variables if v != d_a)
-        if len(keep_s) + len(keep_a) > MAX_NODE_POLY_VARS:
-            raise PolyError(
-                f"contracting {edge!r} would create a polynomial with "
-                f"{len(keep_s) + len(keep_a)} variables; the cap is "
-                f"{MAX_NODE_POLY_VARS} - reduce the instance size"
-            )
+        _check_merge_size(edge, len(keep_s) + len(keep_a))
         coeffs = _merge_masks(_split_on(p_s, d_s), _split_on(p_a, d_a), len(keep_s))
         merged = NodePoly(
             node=p_s.node, variables=keep_s + keep_a, coeffs=coeffs

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import gaugepf.cli
 import gaugepf.gauge
 from gaugepf.cli import (
     EXIT_INPUT,
@@ -349,6 +350,20 @@ class TestCmdVerify:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT
         assert captured.out == ""
+        assert "22 variables" in captured.err
+
+    def test_too_large_refused_before_brute_force(self, capsys, tmp_path, monkeypatch):
+        from gaugepf.families import matching_model
+
+        def fail(*args, **kwargs):
+            raise AssertionError("brute force ran before the size check")
+
+        monkeypatch.setattr(gaugepf.cli, "partition_exact", fail)
+        path = tmp_path / "k45.json"
+        path.write_text(serialize_model(matching_model(4, 5)))
+        code = main(["verify", str(path), "--restarts", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
         assert "22 variables" in captured.err
 
     def test_corrupted_gauge_matrix_fails_exit_one(self, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gaugepf.poly as poly_mod
 from gaugepf import (
     FactorTable,
     MultiGraph,
@@ -16,7 +17,13 @@ from gaugepf import (
 )
 from gaugepf.families import matching_model, random_soft_model
 from gaugepf.multigraph import DirectedEdge as D
-from gaugepf.poly import MAX_NODE_POLY_VARS, FactoredGaugePoly, NodePoly, PolyError
+from gaugepf.poly import (
+    MAX_NODE_POLY_VARS,
+    FactoredGaugePoly,
+    NodePoly,
+    PolyError,
+    check_contraction_sizes,
+)
 
 from conftest import make_model
 
@@ -147,6 +154,30 @@ class TestExactContractPoly:
 
         with pytest.raises(GraphError):
             exact_contract_poly(build(two_node_model), "nope")
+
+
+    def test_size_dry_run_raises_as_contraction_does(self, rng, monkeypatch):
+        monkeypatch.setattr(poly_mod, "MAX_NODE_POLY_VARS", 5)
+        raised = 0
+        for _ in range(30):
+            m = random_soft_model(rng, int(rng.integers(1, 8)), n_nodes=3)
+            order = list(m.graph.edges)
+            rng.shuffle(order)
+            try:
+                h = build(m)
+                for e in order:
+                    h = exact_contract_poly(h, e)
+                expected = None
+            except PolyError as exc:
+                expected = str(exc)
+            try:
+                check_contraction_sizes(m.graph, order)
+                got = None
+            except PolyError as exc:
+                got = str(exc)
+            assert got == expected
+            raised += expected is not None
+        assert 0 < raised < 30
 
 
 class TestZetaEval:
