@@ -281,16 +281,6 @@ def _edge_coeffs(
     return a0 * b0, a1 * b0, a0 * b1, a1 * b1
 
 
-def _edge_quad_local(m: MultiGM, x: GaugeVector, edge: EdgeId) -> QuadCoeffs:
-    """Quadratic coefficients at one edge, omitting the other nodes' factor.
-
-    The omitted factor is a positive constant for soft models, so the
-    stationary pair is unchanged.
-    """
-    lay, row = _Layout.for_gauge(m, x)
-    return QuadCoeffs(*(float(c[0]) for c in _edge_coeffs(m, lay, row, edge)))
-
-
 # -- solver ----------------------------------------------------------------
 
 
@@ -430,10 +420,8 @@ def check_polytope(m: MultiGM, bel: Beliefs, tol: float = 1e-9) -> None:
             raise ModelError(f"belief at node {a!r} has wrong length")
         if abs(float(b.sum()) - 1.0) > tol:
             raise ModelError(f"belief at node {a!r} does not sum to 1")
-        arr = b.reshape((2,) * len(f.variables), order="F")
-        for i, d in enumerate(f.variables):
-            marg = float(np.take(arr, 1, axis=i).sum())
-            if abs(marg - bel.edge_marginals[d.edge]) > tol:
+        for d, marg in zip(f.variables, slot_sums(b[None])[0, :, 1]):
+            if abs(float(marg) - bel.edge_marginals[d.edge]) > tol:
                 raise ModelError(
                     f"belief at node {a!r} violates edge consistency on {d}"
                 )
@@ -527,7 +515,9 @@ def saddle_check(
     """
     if edge not in m.graph.endpoints:
         raise GraphError(f"unknown edge {edge!r}")
-    c = _edge_quad_local(m, x_bp, edge)
+    # omits the other nodes' factor, a positive constant for soft models
+    lay, row = _Layout.for_gauge(m, x_bp)
+    c = QuadCoeffs(*(float(v[0]) for v in _edge_coeffs(m, lay, row, edge)))
     xp0 = x_bp[DirectedEdge(edge, True)]
     xq0 = x_bp[DirectedEdge(edge, False)]
     # steps scale with the coordinates: an absolute 1e-5 step drowns in

@@ -6,7 +6,10 @@ the sibling's transpose is the identity, which is exactly the condition
 under which reshuffling factors leaves the partition function invariant.
 The singled-out all-zeros term of the transformed series is the gauge
 function ``z(x)``; general terms ``z(sigma|x)`` factor through the per-node
-quantities computed by :func:`q_node`.
+quantities computed by :func:`q_node`.  Tables are mapped through one 2x2
+matrix per slot by :func:`slot_map` (gauges, loop-series colored tables)
+and reduced against gauge weights by :func:`node_weights` (the BP solver,
+and :func:`q_node`, which so checks the loop terms independently).
 """
 
 from __future__ import annotations
@@ -63,6 +66,20 @@ def gauge_matrix(x_p: float, x_q: float) -> np.ndarray:
     )
 
 
+def slot_map(table: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """``out[t] = sum_s table[s] prod_j mats[j][t_j, s_j]``; ``t_j`` is bit ``j`` of ``t``.
+
+    One in-place butterfly per slot on a copy of the table: ``O(k * 2**k)``.
+    """
+    out = np.array(table, dtype=float)
+    for j, g in enumerate(mats):
+        v = out.reshape(-1, 2, 1 << j)  # [higher slots, bit j, lower slots]
+        s0, s1 = v[:, 0].copy(), v[:, 1]
+        v[:, 0] = g[0][0] * s0 + g[0][1] * s1
+        v[:, 1] = g[1][0] * s0 + g[1][1] * s1
+    return out
+
+
 def transform_factors(m: MultiGM, x: GaugeVector) -> MultiGM:
     """Apply the gauge transformation to every factor table.
 
@@ -74,12 +91,9 @@ def transform_factors(m: MultiGM, x: GaugeVector) -> MultiGM:
     factors = {}
     for a in m.graph.nodes:
         f = m.factors[a]
-        arr = f.as_array()
-        for i, d in enumerate(f.variables):
-            g = gauge_matrix(x[d], x[d.sibling])
-            arr = np.moveaxis(np.tensordot(g, arr, axes=([1], [i])), 0, i)
+        mats = [gauge_matrix(x[d], x[d.sibling]) for d in f.variables]
         factors[a] = FactorTable.from_values(
-            a, f.variables, arr.reshape(-1, order="F"), allow_negative=True
+            a, f.variables, slot_map(f.table, mats), allow_negative=True
         )
     return MultiGM(graph=m.graph, factors=factors)
 
@@ -156,14 +170,6 @@ def h_node(m: MultiGM, a: NodeId, x: GaugeVector) -> float:
     for d in f.variables:
         _check_positive(x[d], f"gauge value at {d}")
     return _reduce_one(f, [x[d] for d in f.variables])
-
-
-def h_node_partial(m: MultiGM, a: NodeId, d: DirectedEdge, x: GaugeVector) -> float:
-    """Partial derivative of :func:`h_node` with respect to the slot ``d``."""
-    f = m.factors[a]
-    w0 = [0.0 if v == d else 1.0 for v in f.variables]
-    w1 = [1.0 if v == d else x[v] for v in f.variables]
-    return _reduce_one(f, w1, w0)
 
 
 def gauge_function(m: MultiGM, x: GaugeVector) -> float:

@@ -5,22 +5,23 @@ directed slot cancels, so only generalized loops survive: edge subsets in
 which no node has colored degree one, a self-edge counting twice toward its
 node's degree (it colors two slots at once, which the cancellation does not
 reach).  Summing the surviving terms reproduces the partition function
-exactly, for any BP gauge.
+exactly, for any BP gauge.  Each term is a product of lookups in per-node
+colored tables, built once per call by :func:`gauge.slot_map`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .bp import NonConvergenceError, residual_norm
-from .gauge import GaugeVector, check_gauge, edge_belief, gauge_function, h_node
+from .gauge import GaugeVector, check_gauge, edge_belief, gauge_function, slot_map
 from .model import Config, EnumerationGuardError, MultiGM
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, NodeId
 
 DEFAULT_LOOP_GUARD = 24
 CONVERGENCE_THRESHOLD = 1e-6
+
+ColoredTables = dict[NodeId, list[float]]
 
 
 def enumerate_generalized_loops(
@@ -72,61 +73,61 @@ def enumerate_generalized_loops(
     return sorted(loops, key=lambda c: sum(b << j for j, b in enumerate(c)))
 
 
-def _require_converged(m: MultiGM, x_bp: GaugeVector) -> None:
+def _at_bp_gauge(m: MultiGM, x_bp: GaugeVector) -> tuple[ColoredTables, float]:
+    """Colored tables ``Q_a`` and ``z(x)``, after checking ``x_bp`` is a BP gauge.
+
+    ``Q_a[sigma_a]`` is node ``a``'s table reduced at the coloring
+    ``sigma_a`` of its slots, so ``Q_a[0]`` is ``h_a``.
+    """
+    check_gauge(m, x_bp)
     res = residual_norm(m, x_bp)
     if res > CONVERGENCE_THRESHOLD:
         raise NonConvergenceError(
             f"gauge residual {res:.3e} exceeds {CONVERGENCE_THRESHOLD:g}; "
             "loop terms are only meaningful at a BP gauge"
         )
+    tables = {}
+    for a, f in m.factors.items():
+        mats = []
+        for d in f.variables:
+            beta = edge_belief(x_bp, d.edge)
+            mats.append(((1.0, x_bp[d]), (-beta, x_bp[d] * (1.0 - beta))))
+        tables[a] = slot_map(f.table, mats).tolist()
+    return tables, gauge_function(m, x_bp)
 
 
-def _term(m: MultiGM, x_bp: GaugeVector, z_bp: float, config: Sequence[int]) -> float:
+def _term(
+    m: MultiGM, x_bp: GaugeVector, tables: ColoredTables, z_bp: float, config: Sequence[int]
+) -> float:
     bit = {e: int(config[j]) for j, e in enumerate(m.graph.edges)}
     term = z_bp
     for e, b in bit.items():
         if b:
             beta = edge_belief(x_bp, e)
             term /= beta * (1.0 - beta)
-    for a in m.graph.nodes:
-        f = m.factors[a]
-        colored = [bit[d.edge] for d in f.variables]
-        if not any(colored):
-            continue
-        arr = f.as_array()
-        for i in reversed(range(len(f.variables))):
-            d = f.variables[i]
-            if colored[i]:
-                beta = edge_belief(x_bp, d.edge)
-                w = np.array([-beta, x_bp[d] * (1.0 - beta)])
-            else:
-                w = np.array([1.0, x_bp[d]])
-            arr = np.tensordot(arr, w, axes=([i], [0]))
-        numer = float(arr)
-        term *= numer / h_node(m, a, x_bp)
+    for a, f in m.factors.items():
+        sigma = sum(bit[d.edge] << j for j, d in enumerate(f.variables))
+        if sigma:
+            term *= tables[a][sigma] / tables[a][0]
     return term
 
 
 def loop_term(m: MultiGM, x_bp: GaugeVector, config: Sequence[int]) -> float:
     """One generalized-loop contribution at a converged BP gauge.
 
-    ``z(x) * prod_colored_nodes mu_a / prod_colored_edges beta(1-beta)``;
+    ``z(x) * prod_a Q_a[sigma_a] / h_a / prod_colored_edges beta(1-beta)``;
     the empty loop contributes ``z(x)`` itself.  Equals the corresponding
     series term ``z(sigma|x)``.
     """
-    check_gauge(m, x_bp)
-    _require_converged(m, x_bp)
-    return _term(m, x_bp, gauge_function(m, x_bp), config)
+    return _term(m, x_bp, *_at_bp_gauge(m, x_bp), config)
 
 
 def loop_series_sum(
     m: MultiGM, x_bp: GaugeVector, guard: int = DEFAULT_LOOP_GUARD
 ) -> float:
     """Sum of all generalized-loop terms: the exact partition function."""
-    check_gauge(m, x_bp)
-    _require_converged(m, x_bp)
-    z_bp = gauge_function(m, x_bp)
+    tables, z_bp = _at_bp_gauge(m, x_bp)
     total = 0.0
     for config in enumerate_generalized_loops(m.graph, guard=guard):
-        total += _term(m, x_bp, z_bp, config)
+        total += _term(m, x_bp, tables, z_bp, config)
     return total

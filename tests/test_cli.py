@@ -6,6 +6,7 @@ import pytest
 
 import gaugepf.cli
 import gaugepf.gauge
+import gaugepf.loops
 from gaugepf.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
@@ -329,6 +330,38 @@ class TestCmdVerify:
             "algebraic_graphical", "diff_marg_recovery", "no_loose_coloring",
             "saddle", "loop_sum", "value_identity",
         } <= names
+
+    def test_soft_model_brute_forced_once(self, capsys, monkeypatch):
+        """The loop_sum check on a soft model reuses its Z, with the same report."""
+        real, real_sum = gaugepf.cli.partition_exact, gaugepf.loops.loop_series_sum
+        calls = []
+        sums = []
+
+        def counting(m, *args, **kwargs):
+            calls.append((m, real(m, *args, **kwargs)))
+            return calls[-1][1]
+
+        def summing(m, *args, **kwargs):
+            sums.append((m, real_sum(m, *args, **kwargs)))
+            return sums[-1][1]
+
+        monkeypatch.setattr(gaugepf.cli, "partition_exact", counting)
+        monkeypatch.setattr(gaugepf.loops, "loop_series_sum", summing)
+        code, report, _ = run(
+            capsys, ["verify", "--random", "1", "--edges", "6", "--seed", "7"]
+        )
+        assert code == EXIT_OK
+        # Z, then the three gauge-transformed models; none brute-forced twice
+        assert len(calls) == 4
+        assert len({id(m) for m, _ in calls}) == 4
+        m, z = calls[0]
+        (msoft, total), = sums
+        assert msoft is m
+        # the report reads as it did with a fresh brute-force pass for loop_sum
+        zs = real(msoft)
+        assert zs == z
+        detail = {c["name"]: c["detail"] for c in report["checks"]}["loop_sum"]
+        assert detail == f"rel err {gaugepf.cli._rel_err(total, zs):.2e}"
 
     def test_tree_corpus_exactness(self, capsys, tmp_path, rng):
         from gaugepf.families import random_tree_model

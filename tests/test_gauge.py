@@ -15,13 +15,12 @@ from gaugepf import (
     transform_factors,
     z_sigma,
 )
-from gaugepf.bp import SolverConfig, solve_bp
+from gaugepf.bp import SolverConfig, marginals_from_gauge, solve_bp
 from gaugepf.families import random_soft_model
 from gaugepf.gauge import (
     MIN_GAUGE_VALUE,
     edge_belief,
     gauge_matrix,
-    h_node_partial,
     node_weights,
     slot_pair_sums,
     slot_sums,
@@ -212,10 +211,9 @@ class TestEdgeBelief:
         beta = edge_belief(x, "e1")
         # node marginal x * dh/dx / h of the colored state equals beta at
         # the BP gauge, for both endpoints
-        for a, d in (("a", D("e1", True)), ("b", D("e1", False))):
-            marg = x[d] * h_node_partial(two_node_model, a, d, x) / h_node(
-                two_node_model, a, x
-            )
+        beliefs = marginals_from_gauge(two_node_model, x)
+        for a in ("a", "b"):
+            marg = beliefs.node_beliefs[a][1]
             assert marg == pytest.approx(beta, rel=1e-12)
 
 
