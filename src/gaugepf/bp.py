@@ -9,13 +9,20 @@ converged value across random restarts is the variational estimate of the
 partition function (exact on trees, a lower bound on bi-stable families).
 
 All restarts run in lockstep as the rows of one ``(restarts, darts)`` gauge
-array, each stopping at its own convergence sweep.  Every node-table
-reduction - edge coefficients, residuals, beliefs - is one pass of the
-node-table kernel :func:`gauge.node_weights` over those rows, so memory is
+array, each stopping at its own convergence sweep.  Each node's table is
+transposed once per solve so that its slots run in the order the sweep
+touches them, the first-touched slot on the top bit.  A sweep then walks
+one chain per node, DMRG style: the chain is the table with the slots
+already updated summed out under their new weights, so an edge's
+coefficients are the chain's top bits reduced against the node's weight
+vector (:func:`gauge.monomials`) on the low bits, the slots not reached
+yet.  That vector is built once per sweep, by the residual pass at the end
+of the previous one, so a sweep costs about two table passes per node plus
+the residual pass, whatever the node's degree.  Memory is
 ``O(rows * 2**k)`` for a ``k``-slot node; the restarts are split into
 batches that keep it bounded on large tables.  The single-gauge entry
-points (:func:`residual_norm`, :func:`bp_residual`,
-:func:`edge_pair_update`, ...) are the same code on one row.
+points (:func:`residual_norm`, :func:`bp_residual`, :func:`saddle_check`,
+...) are the same code on one row.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ from .gauge import (
     check_gauge,
     edge_belief,
     gauge_function,
+    monomials,
     node_weights,
-    slot_pair_sums,
     slot_sums,
 )
 from .model import FactorTable, ModelError, MultiGM, contract_model, soften
@@ -103,6 +110,7 @@ class BPGauge:
     converged: bool
     softened: bool = False
     stationary_values: tuple[float, ...] = ()
+    clamped: int = 0  # sweeps that ended with a gauge value on a _CLAMP bound
 
 
 @dataclass(frozen=True)
@@ -121,9 +129,11 @@ class Beliefs:
 
 # -- gauge arrays ------------------------------------------------------------
 
-# Entries of one node-weight array across a batch of restarts: the solver
+# Entries of one node-sized array across a batch of restarts: the solver
 # runs at most ``_BATCH_ENTRIES >> k`` restarts together when the largest
-# node has ``k`` slots, which bounds its memory on large tables.
+# node has ``k`` slots.  A sweep holds at most about three such arrays per
+# node (weight vectors for the old and new gauge, the chain, the weighted
+# table of the residual pass), which bounds its memory on large tables.
 _BATCH_ENTRIES = 1 << 18
 
 # wide clamp on every update: keeps extreme near-hard iterates representable
@@ -132,51 +142,75 @@ _CLAMP = (1e-18, 1e18)
 
 @dataclass(frozen=True)
 class _Layout:
-    """Where each directed edge lives in a ``(rows, darts)`` gauge array."""
+    """Where each directed edge lives in a ``(rows, darts)`` gauge array, and
+    each node's table with its slots in the order a sweep touches them."""
 
     col: dict[DirectedEdge, int]
     sibling: np.ndarray  # column of each column's sibling
-    slots: dict[NodeId, np.ndarray]  # columns of each node's slots, table order
-    slot_index: dict[DirectedEdge, int]  # position of a dart in its node's table
+    tables: dict[NodeId, np.ndarray]  # first-touched slot on the top bit
+    slots: dict[NodeId, np.ndarray]  # column of each bit of those tables
 
     @classmethod
-    def of(cls, m: MultiGM, darts: Sequence[DirectedEdge]) -> "_Layout":
+    def of(
+        cls, m: MultiGM, darts: Sequence[DirectedEdge], edges: Sequence[EdgeId]
+    ) -> "_Layout":
+        """Layout for a sweep over ``edges`` in order.
+
+        A self-edge's two slots are adjacent, its positive one above.
+        """
         col = {d: j for j, d in enumerate(darts)}
-        slots, slot_index = {}, {}
+        rank = {e: i for i, e in enumerate(edges)}
+        tables, slots = {}, {}
         for a in m.graph.nodes:
-            variables = m.factors[a].variables
-            slots[a] = np.array([col[d] for d in variables], dtype=np.intp)
-            slot_index.update((d, i) for i, d in enumerate(variables))
+            f = m.factors[a]
+            v = f.variables
+            touched = sorted(
+                range(len(v)), key=lambda i: (rank[v[i].edge], not v[i].positive)
+            )
+            bits = touched[::-1]  # bit j of the new table is slot bits[j]
+            tables[a] = f.as_array().transpose(bits).reshape(-1, order="F")
+            slots[a] = np.array([col[v[i]] for i in bits], dtype=np.intp)
         sibling = np.array([col[d.sibling] for d in darts], dtype=np.intp)
-        return cls(col=col, sibling=sibling, slots=slots, slot_index=slot_index)
+        return cls(col=col, sibling=sibling, tables=tables, slots=slots)
 
     @classmethod
-    def for_gauge(cls, m: MultiGM, x: GaugeVector) -> tuple["_Layout", np.ndarray]:
-        """Layout in incidence order and the one-row array holding ``x``."""
-        lay = cls.of(m, m.graph.directed_edges())
+    def for_gauge(
+        cls, m: MultiGM, x: GaugeVector, first: EdgeId | None = None
+    ) -> tuple["_Layout", np.ndarray]:
+        """Layout in incidence order and the one-row array holding ``x``.
+
+        The sweep starts at edge ``first``, if given, so that its slots are
+        the top bits of its endpoints' tables.
+        """
+        edges = sorted(m.graph.edges, key=lambda e: e != first)
+        lay = cls.of(m, m.graph.directed_edges(), edges)
         return lay, np.array([[float(x[d]) for d in lay.col]])
+
+    def weight_vectors(self, x: np.ndarray) -> dict[NodeId, np.ndarray]:
+        """Each node's weight vector ``prod_j (1, x_j)`` over its table's bits."""
+        return {a: monomials(x[:, cols]) for a, cols in self.slots.items()}
 
 
 # -- residuals ------------------------------------------------------------
 
 
 def _residual_parts(
-    m: MultiGM, lay: _Layout, x: np.ndarray
+    lay: _Layout, x: np.ndarray, mono: Mapping[NodeId, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of ``log z`` and normalized single-colored residual per slot.
 
-    One kernel pass per node covers every slot of every row: with the
-    slot's own weight included, the bit-1 sum over the node sum is the
-    slot's tilted mean ``x_d * dh/dx_d / h``.
+    ``mono`` holds :meth:`_Layout.weight_vectors` of ``x``.  One pass per
+    node covers every slot of every row: with the slot's own weight
+    included, the bit-1 sum over the node sum is the slot's tilted mean
+    ``x_d * dh/dx_d / h``.
     """
     sib = x[:, lay.sibling]
     prod = x * sib
     beta = prod / (1.0 + prod)
     mean = np.empty_like(x)
-    for a in m.graph.nodes:
-        cols = lay.slots[a]
-        w = node_weights(m.factors[a].table, x[:, cols])
-        mean[:, cols] = slot_sums(w)[:, :, 1] / w.sum(axis=1)[:, None]
+    for a, cols in lay.slots.items():
+        s = slot_sums(mono[a] * lay.tables[a])
+        mean[:, cols] = s[:, :, 1] / s.sum(axis=2)
     grad = mean / x - sib / (1.0 + prod)
     ok = (beta > 0) & np.isfinite(beta)
     coloring = np.full_like(x, math.inf)
@@ -184,11 +218,13 @@ def _residual_parts(
     return grad, coloring
 
 
-def _residual_rows(m: MultiGM, lay: _Layout, x: np.ndarray) -> np.ndarray:
+def _residual_rows(
+    lay: _Layout, x: np.ndarray, mono: Mapping[NodeId, np.ndarray]
+) -> np.ndarray:
     """Per row: max of the gradient norm and the normalized coloring residual."""
     if x.shape[1] == 0:
         return np.zeros(len(x))
-    grad, coloring = _residual_parts(m, lay, x)
+    grad, coloring = _residual_parts(lay, x, mono)
     res = np.maximum(np.abs(grad).max(axis=1), coloring.max(axis=1))
     return np.where(np.isnan(res), math.inf, res)
 
@@ -203,14 +239,14 @@ def bp_residual(m: MultiGM, x: GaugeVector) -> dict[DirectedEdge, float]:
         raise ModelError("residuals need a soft model; soften it first")
     check_gauge(m, x)
     lay, row = _Layout.for_gauge(m, x)
-    grad, _ = _residual_parts(m, lay, row)
+    grad, _ = _residual_parts(lay, row, lay.weight_vectors(row))
     return {d: float(grad[0, j]) for d, j in lay.col.items()}
 
 
 def residual_norm(m: MultiGM, x: GaugeVector) -> float:
     """Max of the gradient norm and the normalized coloring residual."""
     lay, row = _Layout.for_gauge(m, x)
-    return float(_residual_rows(m, lay, row)[0])
+    return float(_residual_rows(lay, row, lay.weight_vectors(row))[0])
 
 
 # -- closed-form edge update ----------------------------------------------
@@ -255,29 +291,36 @@ def bp_value(c: QuadCoeffs) -> float:
     return 0.5 * (c.h11 + c.h00 + root)
 
 
-def _edge_coeffs(
-    m: MultiGM, lay: _Layout, x: np.ndarray, edge: EdgeId
+def _chain_sums(t: np.ndarray, mono: np.ndarray, g: int) -> np.ndarray:
+    """``(R, 2**g)``: chain ``t`` per pattern of its top ``g`` bits.
+
+    Its low bits, the slots not updated yet this sweep, are reduced against
+    the matching prefix of the node's weight vector ``mono``.
+    """
+    low = t.shape[-1] >> g
+    return np.matmul(t.reshape(-1, 1 << g, low), mono[:, :low, None])[:, :, 0]
+
+
+def _fold(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Chain ``t`` with its top bit summed away under weights ``(1, w)`` per row."""
+    top = t.reshape(-1, 2, t.shape[-1] // 2)
+    return top[:, 0] + w[:, None] * top[:, 1]
+
+
+def _edge_quad(
+    chain: Mapping[NodeId, np.ndarray], mono: Mapping[NodeId, np.ndarray],
+    tail: NodeId, head: NodeId,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-row ``(h00, h10, h01, h11)`` of the edge's local quadratic.
 
-    The edge's own slots get weight 1 on both bits, so the kernel's sums
-    are the coefficients themselves.  Other nodes' factors are omitted:
-    a positive constant for soft models, it leaves the stationary pair be.
+    The edge's slots are the top bits of its endpoints' chains.  Other
+    nodes' factors are omitted: a positive constant for soft models, it
+    leaves the stationary pair be.
     """
-    tail, head = m.graph.endpoints[edge]
-    d_p, d_q = DirectedEdge(edge, True), DirectedEdge(edge, False)
-    i_p, i_q = lay.slot_index[d_p], lay.slot_index[d_q]
     if tail == head:
-        w1 = x[:, lay.slots[tail]]
-        w1[:, [i_p, i_q]] = 1.0
-        s = slot_pair_sums(node_weights(m.factors[tail].table, w1), i_p, i_q)
-        return s[:, 0, 0], s[:, 1, 0], s[:, 0, 1], s[:, 1, 1]
-    lin = []
-    for node, i in ((tail, i_p), (head, i_q)):
-        w1 = x[:, lay.slots[node]]
-        w1[:, i] = 1.0
-        lin.append(slot_sums(node_weights(m.factors[node].table, w1))[:, i])
-    (a0, a1), (b0, b1) = lin[0].T, lin[1].T
+        c = _chain_sums(chain[tail], mono[tail], 2)  # bits (+, -), + on top
+        return c[:, 0], c[:, 2], c[:, 1], c[:, 3]
+    (a0, a1), (b0, b1) = (_chain_sums(chain[a], mono[a], 1).T for a in (tail, head))
     return a0 * b0, a1 * b0, a0 * b1, a1 * b1
 
 
@@ -287,38 +330,52 @@ def _edge_coeffs(
 def _lockstep(
     m: MultiGM, lay: _Layout, edges: Sequence[EdgeId], x: np.ndarray,
     cfg: SolverConfig,
-) -> list[tuple[np.ndarray, float, int, bool]]:
+) -> list[tuple[np.ndarray, float, int, bool, int]]:
     """Sweep a batch of restarts together, each until its own convergence.
 
-    Row ``r`` of ``x`` is restart ``r``'s initial gauge.  Returns per row
-    the final gauge, residual, sweep count and convergence flag.  A row
-    leaves the batch after the sweep that brings its residual within the
-    tolerance, so its iterates are exactly those of a solve on its own.
+    ``lay`` is laid out for a sweep over ``edges``.  Row ``r`` of ``x`` is
+    restart ``r``'s initial gauge.  Returns per row the final gauge,
+    residual, sweep count, convergence flag and the number of sweeps that
+    ended with a value on a ``_CLAMP`` bound.  A row leaves the batch after
+    the sweep that brings its residual within the tolerance, so its
+    iterates are exactly those of a solve on its own.
     """
     x = x.copy()
     n = len(x)
-    final, res, sweeps = np.empty_like(x), np.empty(n), np.empty(n, dtype=int)
-    active = np.arange(n)
+    final, res = np.empty_like(x), np.empty(n)
+    sweeps, clamped = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    active, hits = np.arange(n), np.zeros(n, dtype=int)
     keep_old, take_new = cfg.damping, 1.0 - cfg.damping
     lo, hi = _CLAMP
+    ends = [m.graph.endpoints[e] for e in edges]
     cols = [(lay.col[DirectedEdge(e, True)], lay.col[DirectedEdge(e, False)])
             for e in edges]
+    mono = lay.weight_vectors(x)
     for sweep in range(1, cfg.max_sweeps + 1):
-        for e, (c_p, c_q) in zip(edges, cols):
-            xp, xq = _pair_update(*_edge_coeffs(m, lay, x, e))
+        chain = dict(lay.tables)
+        for (tail, head), (c_p, c_q) in zip(ends, cols):
+            xp, xq = _pair_update(*_edge_quad(chain, mono, tail, head))
             for c, target in ((c_p, xp), (c_q, xq)):
                 step = keep_old * x[:, c] + take_new * target
                 x[:, c] = np.minimum(np.maximum(step, lo), hi)
-        r = _residual_rows(m, lay, x)
+            # a self-edge folds its positive slot, then the one below it
+            chain[tail] = _fold(chain[tail], x[:, c_p])
+            chain[head] = _fold(chain[head], x[:, c_q])
+        hits += ((x <= lo) | (x >= hi)).any(axis=1)
+        mono = lay.weight_vectors(x)
+        r = _residual_rows(lay, x, mono)
         stop = (r <= cfg.tolerance) | (sweep == cfg.max_sweeps)
-        rows = active[stop]
-        final[rows], res[rows], sweeps[rows] = x[stop], r[stop], sweep
-        x, active = x[~stop], active[~stop]
-        if not len(active):
-            break
+        if stop.any():
+            rows, keep = active[stop], ~stop
+            final[rows], res[rows], sweeps[rows] = x[stop], r[stop], sweep
+            clamped[rows] = hits[stop]
+            x, active, hits = x[keep], active[keep], hits[keep]
+            if not len(active):
+                break
+            mono = {a: v[keep] for a, v in mono.items()}
     converged = res <= cfg.tolerance
-    return [(final[i], float(res[i]), int(sweeps[i]), bool(converged[i]))
-            for i in range(n)]
+    return [(final[i], float(res[i]), int(sweeps[i]), bool(converged[i]),
+             int(clamped[i])) for i in range(n)]
 
 
 def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
@@ -330,18 +387,18 @@ def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
     # one draw per restart and dart, restart-major: the same stream and
     # order as drawing each restart's gauge in turn
     x0 = np.exp(rng.uniform(lo, hi, size=(cfg.restarts, len(darts))))
-    lay = _Layout.of(m, darts)
+    lay = _Layout.of(m, darts, edges)
     k = max(len(f.variables) for f in m.factors.values())
     batch = max(1, _BATCH_ENTRIES >> k)
     out = []
     for start in range(0, cfg.restarts, batch):
-        for row, res, sweeps, converged in _lockstep(
+        for row, res, sweeps, converged, clamped in _lockstep(
             m, lay, edges, x0[start : start + batch], cfg
         ):
             x = dict(zip(darts, row.tolist()))
             out.append(BPGauge(
                 x=x, residual=res, value=gauge_function(m, x), sweeps=sweeps,
-                converged=converged,
+                converged=converged, clamped=clamped,
             ))
     return out
 
@@ -389,6 +446,7 @@ def solve_bp(m: MultiGM, cfg: SolverConfig = SolverConfig()) -> BPGauge:
         x=chosen.x, residual=chosen.residual, value=chosen.value,
         sweeps=chosen.sweeps, converged=chosen.converged,
         softened=softened, stationary_values=tuple(distinct),
+        clamped=chosen.clamped,
     )
 
 
@@ -515,9 +573,10 @@ def saddle_check(
     """
     if edge not in m.graph.endpoints:
         raise GraphError(f"unknown edge {edge!r}")
-    # omits the other nodes' factor, a positive constant for soft models
-    lay, row = _Layout.for_gauge(m, x_bp)
-    c = QuadCoeffs(*(float(v[0]) for v in _edge_coeffs(m, lay, row, edge)))
+    # the sweep's first chain step on one row, the edge's slots on top
+    lay, row = _Layout.for_gauge(m, x_bp, first=edge)
+    quad = _edge_quad(lay.tables, lay.weight_vectors(row), *m.graph.endpoints[edge])
+    c = QuadCoeffs(*(float(v[0]) for v in quad))
     xp0 = x_bp[DirectedEdge(edge, True)]
     xq0 = x_bp[DirectedEdge(edge, False)]
     # steps scale with the coordinates: an absolute 1e-5 step drowns in

@@ -219,6 +219,7 @@ def cmd_bp(m: MultiGM, args: argparse.Namespace) -> int:
         "residual": g.residual,
         "sweeps": g.sweeps,
         "softened": g.softened,
+        "clamped": g.clamped,
         "gauge": _gauge_doc(g.x),
         "stationary_values": list(g.stationary_values),
     }

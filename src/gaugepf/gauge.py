@@ -8,8 +8,11 @@ The singled-out all-zeros term of the transformed series is the gauge
 function ``z(x)``; general terms ``z(sigma|x)`` factor through the per-node
 quantities computed by :func:`q_node`.  Tables are mapped through one 2x2
 matrix per slot by :func:`slot_map` (gauges, loop-series colored tables)
-and reduced against gauge weights by :func:`node_weights` (the BP solver,
-and :func:`q_node`, which so checks the loop terms independently).
+and reduced against gauge weights by :func:`node_weights`, the table times
+the node's weight vector :func:`monomials` (residuals and beliefs, and
+:func:`q_node`, which so checks the loop terms independently).  The BP
+solver's sweeps read the weights of a node's not-yet-updated slots off
+prefixes of that one vector.
 """
 
 from __future__ import annotations
@@ -98,18 +101,16 @@ def transform_factors(m: MultiGM, x: GaugeVector) -> MultiGM:
     return MultiGM(graph=m.graph, factors=factors)
 
 
-def node_weights(
-    table: np.ndarray, w1: np.ndarray, w0: np.ndarray | None = None
-) -> np.ndarray:
-    """The node-table kernel: every configuration's weighted table entry.
+def monomials(w1: np.ndarray, w0: np.ndarray | None = None) -> np.ndarray:
+    """Every configuration's weight product: the node's weight vector.
 
     ``w1`` and ``w0`` have shape ``(R, k)``: one weight pair per slot for
     each of ``R`` rows (``w0`` defaults to ones).  Returns the ``(R, 2**k)``
-    array ``W[r, i] = table[i] * prod_j (w1[r, j] if bit j of i else
-    w0[r, j])``.  It is built by doubling one row vector slot by slot, in
-    place, so memory is one ``(R, 2**k)`` array.  Sums of ``W`` give every
-    reduction of the node against the weights: :func:`slot_sums` and
-    :func:`slot_pair_sums`, and ``W.sum(axis=1)`` for the full contraction.
+    array ``V[r, i] = prod_j (w1[r, j] if bit j of i else w0[r, j])``.  It
+    is built by doubling one row vector slot by slot from bit 0 up, in
+    place, so ``V[:, :2**b]`` is the weight vector of the low ``b`` slots
+    alone: the BP solver reads the weights of a node's not-yet-updated
+    slots off such prefixes.
     """
     rows, k = w1.shape
     out = np.empty((rows, 1 << k))
@@ -119,6 +120,20 @@ def node_weights(
         np.multiply(out[:, :n], w1[:, j, None], out=out[:, n : 2 * n])
         if w0 is not None:
             out[:, :n] *= w0[:, j, None]
+    return out
+
+
+def node_weights(
+    table: np.ndarray, w1: np.ndarray, w0: np.ndarray | None = None
+) -> np.ndarray:
+    """The node-table kernel: every configuration's weighted table entry.
+
+    ``W[r, i] = table[i] * V[r, i]`` with ``V`` the :func:`monomials` of
+    ``w1`` and ``w0``; memory is one ``(R, 2**k)`` array.  Sums of ``W``
+    give every reduction of the node against the weights: :func:`slot_sums`
+    and ``W.sum(axis=1)`` for the full contraction.
+    """
+    out = monomials(w1, w0)
     out *= table
     return out
 
@@ -139,21 +154,6 @@ def slot_sums(w: np.ndarray) -> np.ndarray:
         out[:, i] = halves.sum(axis=2)
         w = halves[:, 0] + halves[:, 1]
     return out
-
-
-def slot_pair_sums(w: np.ndarray, i: int, j: int) -> np.ndarray:
-    """``(R, 2, 2)`` sums of rows of ``W`` over slots ``i != j``; entry ``[b_i, b_j]``.
-
-    Folds every other slot away, top down (so a slot's bit position never
-    moves before its turn), with elementwise additions only.
-    """
-    rows, n = w.shape
-    for s in reversed(range(n.bit_length() - 1)):
-        if s not in (i, j):
-            v = w.reshape(rows, -1, 2, 1 << s)
-            w = (v[:, :, 0] + v[:, :, 1]).reshape(rows, -1)
-    s = w.reshape(rows, 2, 2)  # [higher slot's bit, lower slot's bit]
-    return s.transpose(0, 2, 1) if i < j else s
 
 
 def _reduce_one(

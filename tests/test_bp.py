@@ -23,7 +23,14 @@ from gaugepf import (
     soften,
     solve_bp,
 )
-from gaugepf.bp import ConfigError, DegenerateEdgeError, PolySelfEdgeError, SolverConfig
+import gaugepf.bp as bp_mod
+from gaugepf.bp import (
+    ConfigError,
+    DegenerateEdgeError,
+    PolySelfEdgeError,
+    SolverConfig,
+    _restarts,
+)
 from gaugepf.families import (
     matching_model,
     permanent_model,
@@ -192,6 +199,23 @@ class TestSolveBP:
         g = solve_bp(m, FAST)
         assert g.converged
         assert g.value == pytest.approx(4.0)
+
+    def test_clamp_hits_counted(self, rng, monkeypatch):
+        m = random_soft_model(rng, 5)
+        cfg = SolverConfig(restarts=3, max_sweeps=20)
+        monkeypatch.setattr(bp_mod, "_CLAMP", (0.9, 1.1))
+        runs = _restarts(m, cfg)
+        assert all(0 < a.clamped <= a.sweeps for a in runs)
+        g = solve_bp(m, cfg)
+        assert g.clamped == next(a.clamped for a in runs if a.x == g.x)
+
+    def test_no_clamp_hits_on_c07_models(self):
+        rng = np.random.default_rng(107)  # C07's direct-minimizer models
+        for _ in range(20):
+            m = random_soft_model(rng, int(rng.integers(2, 5)))
+            runs = _restarts(m, SolverConfig(restarts=8, seed=int(rng.integers(1 << 31))))
+            rng.integers(1 << 31)  # C07's seed for the direct minimizer
+            assert all(a.converged and a.clamped == 0 for a in runs)
 
     def test_deterministic_given_seed(self, rng):
         m = random_soft_model(rng, 5)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import gaugepf.bp
 import gaugepf.cli
 import gaugepf.gauge
 import gaugepf.loops
@@ -185,6 +186,15 @@ class TestCmdBP:
         assert r["Z"] == 5.0
         assert r["ratio"] == pytest.approx(r["Z_vbp"] / 5.0)
         assert r["exact"] is False
+
+    def test_clamp_hits_reported(self, capsys, two_node_file, monkeypatch):
+        _, report, _ = run(capsys, ["bp", two_node_file, "--restarts", "2"])
+        assert report["results"]["clamped"] == 0
+        monkeypatch.setattr(gaugepf.bp, "_CLAMP", (0.9, 1.1))
+        _, report, _ = run(
+            capsys, ["bp", two_node_file, "--restarts", "2", "--max-sweeps", "5"]
+        )
+        assert report["results"]["clamped"] == 5
 
     def test_nonconvergence_exit_two(self, capsys, two_node_file):
         code, report, _ = run(

@@ -22,7 +22,6 @@ from gaugepf.gauge import (
     edge_belief,
     gauge_matrix,
     node_weights,
-    slot_pair_sums,
     slot_sums,
 )
 from gaugepf.multigraph import DirectedEdge as D
@@ -225,10 +224,9 @@ class TestNodeWeights:
         rows=st.integers(1, 4),
         with_w0=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_reductions_match_brute_force(self, k, rows, with_w0, seed, data):
+    def test_reductions_match_brute_force(self, k, rows, with_w0, seed):
         rng = np.random.default_rng(seed)
         table = np.exp(rng.uniform(-2.3, 2.3, 1 << k))
         w1 = np.exp(rng.uniform(-2.3, 2.3, (rows, k)))
@@ -250,22 +248,9 @@ class TestNodeWeights:
                 [brute[:, [b[i] == v for b in bits]].sum(axis=1) for v in (0, 1)], axis=1
             )
             np.testing.assert_allclose(slot_sums(w)[:, i], expected, rtol=1e-12)
-        if k >= 2:
-            i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
-                                      unique=True))
-            expected = np.array([[[brute[r, [b[i] == u and b[j] == v for b in bits]].sum()
-                                   for v in (0, 1)] for u in (0, 1)]
-                                 for r in range(rows)])
-            np.testing.assert_allclose(slot_pair_sums(w, i, j), expected, rtol=1e-12)
 
         for r in range(rows):
             one = node_weights(table, w1[r : r + 1], None if w0 is None else w0[r : r + 1])
             np.testing.assert_array_equal(one[0], w[r])
             np.testing.assert_array_equal(one.sum(axis=1)[0], w.sum(axis=1)[r])
             np.testing.assert_array_equal(slot_sums(one)[0], slot_sums(w)[r])
-            for i in range(k):
-                for j in range(k):
-                    if j != i:
-                        np.testing.assert_array_equal(
-                            slot_pair_sums(one, i, j)[0], slot_pair_sums(w, i, j)[r]
-                        )

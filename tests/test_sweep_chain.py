@@ -1,0 +1,250 @@
+"""The solver's sweep-ordered node chains against from-scratch reductions.
+
+The reference rebuilds a node's weighted table at every edge update with
+``node_weights`` (the edge's own slots weighted by one) and then folds away
+every slot but the edge's, top slot first.  It uses no chain code of
+``gaugepf.bp``.  The solver's calls to ``_pair_update`` are recorded and
+replayed, so each recorded quadratic is compared with the reference at
+exactly the gauge the solver had when it computed it.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gaugepf.bp as bp_mod
+from gaugepf import soften
+from gaugepf.bp import SolverConfig, _restarts, solve_bp
+from gaugepf.families import attach_random_factors, matching_model
+from gaugepf.gauge import monomials, node_weights
+from gaugepf.model import contract_model
+from gaugepf.multigraph import DirectedEdge, MultiGraph
+
+from test_batched_solver import reference_restarts
+
+REL = 1e-12
+
+
+# -- reference ----------------------------------------------------------------
+
+
+def _fold_all_but(w, keep):
+    """Rows of ``W`` summed over every slot not in ``keep``, top slot first.
+
+    Returns ``(R, 2**len(keep))``; bit ``t`` of the index is the bit of the
+    ``t``-th smallest slot in ``keep``.
+    """
+    rows, n = w.shape
+    for s in reversed(range(n.bit_length() - 1)):
+        if s not in keep:
+            v = w.reshape(rows, -1, 2, 1 << s)
+            w = (v[:, :, 0] + v[:, :, 1]).reshape(rows, -1)
+    return w
+
+
+def _reference_quad(m, col, x, edge):
+    """``(R, 2, 2)`` local quadratic ``h[b_plus, b_minus]`` of ``edge`` from scratch."""
+    tail, head = m.graph.endpoints[edge]
+    d_p, d_q = DirectedEdge(edge, True), DirectedEdge(edge, False)
+    sums = {}
+    for a in {tail, head}:
+        f = m.factors[a]
+        w1 = x[:, [col[d] for d in f.variables]]
+        mine = [i for i, d in enumerate(f.variables) if d.edge == edge]
+        w1[:, mine] = 1.0
+        sums[a] = _fold_all_but(node_weights(f.table, w1), mine)
+    if tail == head:
+        f = m.factors[tail]
+        h = sums[tail].reshape(-1, 2, 2)  # [higher slot's bit, lower slot's bit]
+        plus_low = f.variables.index(d_p) < f.variables.index(d_q)
+        return h.transpose(0, 2, 1) if plus_low else h
+    return sums[tail][:, :, None] * sums[head][:, None, :]
+
+
+def _check_chain(m, x0, cfg, monkeypatch):
+    """Run ``_lockstep`` and check every edge's quadratic against the reference.
+
+    Returns the solver's per-row results.
+    """
+    darts = sorted(m.graph.directed_edges(), key=str)
+    edges = sorted(m.graph.edges)
+    lay = bp_mod._Layout.of(m, darts, edges)
+    calls = []
+    real = bp_mod._pair_update
+
+    def spy(*h):
+        calls.append(np.stack([np.array(v) for v in h], axis=1))
+        return real(*h)
+
+    monkeypatch.setattr(bp_mod, "_pair_update", spy)
+    out = bp_mod._lockstep(m, lay, edges, x0, cfg)
+    monkeypatch.undo()
+
+    sweeps = np.array([o[2] for o in out])
+    x = x0.copy()
+    calls = iter(calls)
+    lo, hi = bp_mod._CLAMP
+    for sweep in range(1, sweeps.max() + 1):
+        active = np.flatnonzero(sweeps >= sweep)
+        for e in edges:
+            got = next(calls)
+            ref = _reference_quad(m, lay.col, x[active], e)
+            h00, h01, h10, h11 = ref.reshape(-1, 4).T
+            np.testing.assert_allclose(got, np.stack([h00, h10, h01, h11], 1), rtol=REL)
+            for positive, target in zip((True, False), real(*got.T)):
+                c = lay.col[DirectedEdge(e, positive)]
+                step = cfg.damping * x[active, c] + (1.0 - cfg.damping) * target
+                x[active, c] = np.minimum(np.maximum(step, lo), hi)
+        for r in active[sweeps[active] == sweep]:
+            np.testing.assert_array_equal(out[r][0], x[r])
+    assert next(calls, None) is None
+    return out
+
+
+def _x0(m, rows, seed):
+    shape = (rows, 2 * len(m.graph.edges))
+    return np.exp(np.random.default_rng(seed).uniform(np.log(0.25), np.log(4.0), shape))
+
+
+# -- models -------------------------------------------------------------------
+
+
+def _model(edges, seed, contract=()):
+    g = MultiGraph.build(sorted({a for _, t, h in edges for a in (t, h)}), edges)
+    for e in contract:
+        g = g.contract_edge(e)
+    return attach_random_factors(g, np.random.default_rng(seed))
+
+
+MODELS = {
+    # hub's self-edge on its table's low slots; swept last
+    "self_low": lambda: _model(
+        [("z", "h", "h"), ("a", "h", "p"), ("b", "p", "h"), ("c", "h", "q")], 1
+    ),
+    # self-edge on the high slots; swept first
+    "self_high": lambda: _model(
+        [("b", "h", "p"), ("c", "q", "h"), ("d", "h", "p"), ("a", "h", "h")], 2
+    ),
+    # contracting "a" turns its parallel partner "m" into a self-edge with
+    # two other slots between its own; swept in the middle
+    "self_split": lambda: _model(
+        [("b", "h", "q"), ("a", "h", "p"), ("c", "p", "q"), ("x", "p", "q"),
+         ("m", "h", "p")], 3, contract=["a"],
+    ),
+    # three parallel edges and a two-edge cycle
+    "parallel": lambda: _model(
+        [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "v"), ("d", "v", "w"),
+         ("e", "w", "v")], 4,
+    ),
+    # 13-slot hub: five normal edges (two parallel) and four self-edges
+    "hub": lambda: _model(
+        [("s1", "h", "h"), ("n1", "h", "a"), ("s2", "h", "h"), ("n2", "b", "h"),
+         ("n3", "h", "b"), ("s3", "h", "h"), ("n4", "h", "c"), ("n5", "d", "h"),
+         ("s4", "h", "h")], 5,
+    ),
+}
+
+
+def test_models_cover_slot_positions():
+    def positions(m, node, edge):
+        v = m.factors[node].variables
+        return [i for i, d in enumerate(v) if d.edge == edge], len(v)
+
+    assert positions(MODELS["self_low"](), "h", "z") == ([0, 1], 5)
+    assert positions(MODELS["self_high"](), "h", "a") == ([3, 4], 5)
+    split, _ = positions(MODELS["self_split"](), "h", "m")
+    assert split[1] - split[0] > 1
+    hub = MODELS["hub"]()
+    assert max(len(f.variables) for f in hub.factors.values()) >= 12
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_two_sweeps_match_reference(name, rows, monkeypatch):
+    m = MODELS[name]()
+    cfg = SolverConfig(max_sweeps=2)
+    out = _check_chain(m, _x0(m, rows, seed=rows), cfg, monkeypatch)
+    assert [o[2] for o in out] == [2] * rows
+
+
+def test_row_retiring_mid_solve(monkeypatch):
+    m = MODELS["self_split"]()
+    g = solve_bp(m, SolverConfig(restarts=2))
+    assert g.converged
+    darts = sorted(m.graph.directed_edges(), key=str)
+    x0 = _x0(m, 3, seed=7)
+    x0[1] = [g.x[d] for d in darts]  # a fixed point: done after one sweep
+    out = _check_chain(m, x0, SolverConfig(max_sweeps=3), monkeypatch)
+    assert [o[2] for o in out] == [3, 1, 3]
+    assert out[1][3]
+
+
+# -- the chain step on its own ---------------------------------------------------
+
+
+@given(
+    k=st.integers(2, 10),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_chain_sums_match_brute_force(k, rows, seed, data):
+    """Pair and single-slot sums of a table with two slots moved to the top."""
+    rng = np.random.default_rng(seed)
+    table = np.exp(rng.uniform(-2.3, 2.3, 1 << k))
+    w1 = np.exp(rng.uniform(-2.3, 2.3, (rows, k)))
+    i, j = data.draw(
+        st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)
+    )
+
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    others = [s for s in range(k) if s not in (i, j)]
+    weight = np.prod(np.where(bits[None, :, others], w1[:, None, others], 1.0), axis=2)
+    brute = np.array([[[(table * weight[r])[(bits[:, i] == u) & (bits[:, j] == v)].sum()
+                        for v in (0, 1)] for u in (0, 1)] for r in range(rows)])
+
+    # slot i on the top bit, slot j below it, the others in order below
+    order = others + [j, i]
+    top = table.reshape((2,) * k, order="F").transpose(order).reshape(-1, order="F")
+    mono = monomials(w1[:, others])
+    pair = bp_mod._chain_sums(top, mono, 2)
+    np.testing.assert_allclose(pair.reshape(-1, 2, 2), brute, rtol=1e-12)
+    # slot i alone on top, slot j weighted among the low bits
+    single = bp_mod._chain_sums(top, monomials(w1[:, others + [j]]), 1)
+    wj = w1[:, j, None]
+    np.testing.assert_allclose(single, brute[:, :, 0] + wj * brute[:, :, 1], rtol=1e-12)
+    # slot i folded away under its weight: slot j is the chain's top bit
+    folded = bp_mod._fold(top, w1[:, i])
+    after = bp_mod._chain_sums(folded, mono, 1)
+    wi = w1[:, i, None]
+    np.testing.assert_allclose(after, brute[:, 0] + wi * brute[:, 1], rtol=1e-12)
+
+    for r in range(rows):
+        one = monomials(w1[r : r + 1, others])
+        np.testing.assert_array_equal(bp_mod._chain_sums(top, one, 2)[0], pair[r])
+        one_fold = bp_mod._fold(top, w1[r : r + 1, i])
+        np.testing.assert_array_equal(one_fold[0], folded[r])
+        np.testing.assert_array_equal(bp_mod._chain_sums(one_fold, one, 1)[0], after[r])
+
+
+# -- a large table against the restart-by-restart reference ----------------------
+
+
+def test_k44_eighteen_slot_stage_matches_reference():
+    """The 18-slot stage of the softened K_{4,4} normal-first sequence."""
+    cfg = SolverConfig(restarts=1, max_sweeps=5)
+    w = np.exp(np.random.default_rng(44).uniform(np.log(0.5), np.log(2.0), (4, 4)))
+    m = matching_model(4, 4, weights=w)
+    order = m.graph.normal_first_order()
+    stage = soften(m, cfg.soften_eps)
+    for e in order[:7]:  # as bp_contract_sequence builds its stages
+        stage = soften(contract_model(stage, e), cfg.soften_eps)
+    assert [len(f.variables) for f in stage.factors.values()] == [18]
+
+    (x, _, value, sweeps, _), = reference_restarts(stage, cfg)
+    (g,) = _restarts(stage, cfg)
+    assert g.sweeps == sweeps
+    assert g.value == pytest.approx(value, rel=1e-9)
+    assert g.x == pytest.approx(x, rel=1e-9)
