@@ -8,21 +8,30 @@ Stationary points are saddles in each orientation pair, and the largest
 converged value across random restarts is the variational estimate of the
 partition function (exact on trees, a lower bound on bi-stable families).
 
-All restarts run in lockstep as the rows of one ``(restarts, darts)`` gauge
-array, each stopping at its own convergence sweep.  Each node's table is
-transposed once per solve so that its slots run in the order the sweep
-touches them, the first-touched slot on the top bit.  A sweep then walks
-one chain per node, DMRG style: the chain is the table with the slots
-already updated summed out under their new weights, so an edge's
-coefficients are the chain's top bits reduced against the node's weight
-vector (:func:`gauge.monomials`) on the low bits, the slots not reached
-yet.  That vector is built once per sweep, by the residual pass at the end
-of the previous one, so a sweep costs about two table passes per node plus
-the residual pass, whatever the node's degree.  Memory is
-``O(rows * 2**k)`` for a ``k``-slot node; the restarts are split into
-batches that keep it bounded on large tables.  The single-gauge entry
-points (:func:`residual_norm`, :func:`bp_residual`, :func:`saddle_check`,
-...) are the same code on one row.
+All restarts run in lockstep as the columns of one ``(darts, restarts)``
+gauge array, each stopping at its own convergence sweep.  Rows are
+pair-major in sweep order: edge ``i``'s positive and negative darts are
+rows ``2i`` and ``2i + 1``, so every per-edge quantity is a contiguous
+vector over the restarts and an edge update is a few numpy calls on a
+``(2, restarts)`` block.  Each node's table is transposed once per solve
+so that its slots run in the order the sweep touches them, the
+first-touched slot on the top bit, and the nodes with the same slot count
+``k`` share one ``(n_k, 2**k)`` table stack.  A sweep walks one chain per
+node, DMRG style: the chain is the table with the slots already updated
+summed out under their new weights, so an edge's coefficients are the
+chain's top bits reduced against the node's weight vector
+(:func:`gauge.monomials`) on the low bits, the slots not reached yet.
+Chains and weight vectors keep the restarts first, so each reduction is
+one ``matmul``.  The weight vectors are built once per sweep and slot
+count, for the gauge the next sweep starts from, and the residual pass
+reduces each slot count's weighted stack in one :func:`gauge.slot_sums`
+call; so a sweep costs about two table passes per node plus the residual
+pass, whatever the node's degree.  That pass also holds every node's
+total ``h_a``, from which a restart's value ``z(x)`` is taken when it
+stops.  Memory is ``O(rows * 2**k)`` for a ``k``-slot node; the restarts
+are split into batches that keep it bounded on large tables.  The
+single-gauge entry points (:func:`residual_norm`, :func:`bp_residual`,
+:func:`saddle_check`, ...) are the same code on one column.
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ from .gauge import (
     GaugeVector,
     check_gauge,
     edge_belief,
-    gauge_function,
     monomials,
     node_weights,
     slot_sums,
@@ -129,11 +137,13 @@ class Beliefs:
 
 # -- gauge arrays ------------------------------------------------------------
 
-# Entries of one node-sized array across a batch of restarts: the solver
-# runs at most ``_BATCH_ENTRIES >> k`` restarts together when the largest
-# node has ``k`` slots.  A sweep holds at most about three such arrays per
-# node (weight vectors for the old and new gauge, the chain, the weighted
-# table of the residual pass), which bounds its memory on large tables.
+# Entries of one slot count's arrays per node across a batch of restarts:
+# the solver runs at most ``_BATCH_ENTRIES >> k`` restarts together when the
+# largest node has ``k`` slots.  The ``n_k`` nodes with ``k`` slots share one
+# ``(n_k, rows, 2**k)`` stack of weight vectors, and the residual pass builds
+# one weighted stack of the same size and ``slot_sums``' halves of it; the
+# chains hold at most one more table per node.  So a sweep holds about three
+# such stacks per slot count, which bounds its memory on large tables.
 _BATCH_ENTRIES = 1 << 18
 
 # wide clamp on every update: keeps extreme near-hard iterates representable
@@ -142,91 +152,141 @@ _CLAMP = (1e-18, 1e18)
 
 @dataclass(frozen=True)
 class _Layout:
-    """Where each directed edge lives in a ``(rows, darts)`` gauge array, and
-    each node's table with its slots in the order a sweep touches them."""
+    """Where each directed edge lives in a ``(darts, rows)`` gauge array, and
+    the node tables with their slots in the order a sweep touches them.
 
-    col: dict[DirectedEdge, int]
-    sibling: np.ndarray  # column of each column's sibling
-    tables: dict[NodeId, np.ndarray]  # first-touched slot on the top bit
-    slots: dict[NodeId, np.ndarray]  # column of each bit of those tables
+    Edge ``i`` of the sweep keeps its positive and negative darts on rows
+    ``2i`` and ``2i + 1``, one restart per column.  The nodes with ``k``
+    slots share one ``(n_k, 2**k)`` table stack, each table with its
+    first-touched slot on the top bit.
+    """
+
+    darts: tuple[DirectedEdge, ...]  # the dart on each gauge row
+    col: dict[DirectedEdge, int]  # and back
+    tables: dict[int, np.ndarray]  # slot count k -> (n_k, 2**k) tables
+    slots: dict[int, np.ndarray]  # k -> (n_k, k) gauge row of each table bit
+    place: dict[NodeId, tuple[int, int]]  # node -> (k, its row in the stack)
+    # per edge: tail, head, and whether each one's chain is read again later
+    steps: tuple[tuple[NodeId, NodeId, bool, bool], ...]
 
     @classmethod
-    def of(
-        cls, m: MultiGM, darts: Sequence[DirectedEdge], edges: Sequence[EdgeId]
-    ) -> "_Layout":
+    def of(cls, m: MultiGM, edges: Sequence[EdgeId]) -> "_Layout":
         """Layout for a sweep over ``edges`` in order.
 
         A self-edge's two slots are adjacent, its positive one above.
         """
+        darts = tuple(DirectedEdge(e, p) for e in edges for p in (True, False))
         col = {d: j for j, d in enumerate(darts)}
-        rank = {e: i for i, e in enumerate(edges)}
-        tables, slots = {}, {}
+        groups: dict[int, list[NodeId]] = {}
         for a in m.graph.nodes:
-            f = m.factors[a]
-            v = f.variables
-            touched = sorted(
-                range(len(v)), key=lambda i: (rank[v[i].edge], not v[i].positive)
-            )
-            bits = touched[::-1]  # bit j of the new table is slot bits[j]
-            tables[a] = f.as_array().transpose(bits).reshape(-1, order="F")
-            slots[a] = np.array([col[v[i]] for i in bits], dtype=np.intp)
-        sibling = np.array([col[d.sibling] for d in darts], dtype=np.intp)
-        return cls(col=col, sibling=sibling, tables=tables, slots=slots)
+            groups.setdefault(len(m.factors[a].variables), []).append(a)
+        tables, slots, place = {}, {}, {}
+        for k, nodes in groups.items():
+            tables[k] = np.empty((len(nodes), 1 << k))
+            slots[k] = np.empty((len(nodes), k), dtype=np.intp)
+            for i, a in enumerate(nodes):
+                f = m.factors[a]
+                rows = [col[d] for d in f.variables]
+                # bit j of the new table is slot bits[j]: the last touched at bit 0
+                bits = sorted(range(k), key=rows.__getitem__, reverse=True)
+                table = tables[k][i].reshape((2,) * k, order="F")
+                table[...] = f.as_array().transpose(bits)
+                slots[k][i] = [rows[j] for j in bits]
+                place[a] = (k, i)
+        ends = [m.graph.endpoints[e] for e in edges]
+        last = {a: i for i, pair in enumerate(ends) for a in pair}
+        steps = tuple((t, h, i < last[t], i < last[h]) for i, (t, h) in enumerate(ends))
+        return cls(darts=darts, col=col, tables=tables, slots=slots, place=place,
+                   steps=steps)
 
     @classmethod
     def for_gauge(
         cls, m: MultiGM, x: GaugeVector, first: EdgeId | None = None
     ) -> tuple["_Layout", np.ndarray]:
-        """Layout in incidence order and the one-row array holding ``x``.
+        """Layout in incidence order and the one-column array holding ``x``.
 
         The sweep starts at edge ``first``, if given, so that its slots are
         the top bits of its endpoints' tables.
         """
-        edges = sorted(m.graph.edges, key=lambda e: e != first)
-        lay = cls.of(m, m.graph.directed_edges(), edges)
-        return lay, np.array([[float(x[d]) for d in lay.col]])
+        lay = cls.of(m, sorted(m.graph.edges, key=lambda e: e != first))
+        return lay, np.array([float(x[d]) for d in lay.darts]).reshape(-1, 1)
 
-    def weight_vectors(self, x: np.ndarray) -> dict[NodeId, np.ndarray]:
-        """Each node's weight vector ``prod_j (1, x_j)`` over its table's bits."""
-        return {a: monomials(x[:, cols]) for a, cols in self.slots.items()}
+    def weight_vectors(self, x: np.ndarray) -> dict[int, np.ndarray]:
+        """Per slot count, the ``(n_k, rows, 2**k)`` weight vectors
+        ``prod_j (1, x_j)`` over the bits of its tables."""
+        return {k: monomials(x[s].transpose(0, 2, 1)) for k, s in self.slots.items()}
+
+    def start(
+        self, mono: Mapping[int, np.ndarray]
+    ) -> tuple[dict[NodeId, np.ndarray], dict[NodeId, np.ndarray]]:
+        """Each node's chain at the start of a sweep, its table, and its
+        ``(rows, 2**k)`` weight vector."""
+        return (
+            {a: self.tables[k][i] for a, (k, i) in self.place.items()},
+            {a: mono[k][i] for a, (k, i) in self.place.items()},
+        )
 
 
 # -- residuals ------------------------------------------------------------
 
 
 def _residual_parts(
-    lay: _Layout, x: np.ndarray, mono: Mapping[NodeId, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of ``log z`` and normalized single-colored residual per slot.
+    lay: _Layout, x: np.ndarray, mono: Mapping[int, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient of ``log z``, normalized single-colored residual per slot,
+    and every node's total ``h_a``, one column per restart.
 
     ``mono`` holds :meth:`_Layout.weight_vectors` of ``x``.  One pass per
-    node covers every slot of every row: with the slot's own weight
-    included, the bit-1 sum over the node sum is the slot's tilted mean
-    ``x_d * dh/dx_d / h``.
+    slot count covers every slot of every node and row: with the slot's own
+    weight included, the bit-1 sum over the node sum is the slot's tilted
+    mean ``x_d * dh/dx_d / h``.  The totals come from each node's top slot
+    (``(nodes, rows)``, in slot-count order); a 0-slot node's is its
+    constant.
     """
-    sib = x[:, lay.sibling]
-    prod = x * sib
-    beta = prod / (1.0 + prod)
     mean = np.empty_like(x)
-    for a, cols in lay.slots.items():
-        s = slot_sums(mono[a] * lay.tables[a])
-        mean[:, cols] = s[:, :, 1] / s.sum(axis=2)
-    grad = mean / x - sib / (1.0 + prod)
-    ok = (beta > 0) & np.isfinite(beta)
-    coloring = np.full_like(x, math.inf)
-    coloring[ok] = np.abs(mean[ok] - beta[ok]) / beta[ok]
-    return grad, coloring
+    totals = []
+    for k, rows in lay.slots.items():
+        w = mono[k] * lay.tables[k][:, None]  # (n_k, rows, 2**k)
+        if not k:
+            totals.append(w[:, :, 0])
+            continue
+        s = slot_sums(w.reshape(-1, 1 << k)).reshape(*w.shape[:2], k, 2)
+        tot = s[..., 0] + s[..., 1]
+        mean[rows] = (s[..., 1] / tot).transpose(0, 2, 1)
+        totals.append(tot[..., -1])
+    pairs = x.reshape(-1, 2, x.shape[1])  # [edge, (+, -), row]
+    prod = pairs[:, :1] * pairs[:, 1:]
+    beta = prod / (1.0 + prod)
+    grad = mean / x - (pairs[:, ::-1] / (1.0 + prod)).reshape(x.shape)
+    # inf or nan where beta is 0 or not finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coloring = np.abs(mean.reshape(pairs.shape) - beta) / beta
+    return grad, coloring.reshape(x.shape), np.concatenate(totals)
 
 
 def _residual_rows(
-    lay: _Layout, x: np.ndarray, mono: Mapping[NodeId, np.ndarray]
-) -> np.ndarray:
-    """Per row: max of the gradient norm and the normalized coloring residual."""
-    if x.shape[1] == 0:
-        return np.zeros(len(x))
-    grad, coloring = _residual_parts(lay, x, mono)
-    res = np.maximum(np.abs(grad).max(axis=1), coloring.max(axis=1))
-    return np.where(np.isnan(res), math.inf, res)
+    lay: _Layout, x: np.ndarray, mono: Mapping[int, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per restart, the max of the gradient norm and the normalized coloring
+    residual; and every node's total ``h_a`` (see :func:`_residual_parts`)."""
+    grad, coloring, totals = _residual_parts(lay, x, mono)
+    res = np.maximum(np.abs(grad).max(axis=0, initial=0.0),
+                     coloring.max(axis=0, initial=0.0))
+    return np.where(np.isnan(res), math.inf, res), totals
+
+
+def _values(totals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``z(x) = prod_a h_a / prod_e (1 + x_+ x_-)`` per column, from the totals.
+
+    Summed in the log domain with ``math.fsum``, so a column's value does
+    not depend on the others beside it; a value beyond the float range is
+    ``inf``, as the product would be.
+    """
+    log_h = np.log(totals).T.tolist()
+    log_d = np.log1p(x[0::2] * x[1::2]).T.tolist()
+    log_z = [math.fsum(h) - math.fsum(d) for h, d in zip(log_h, log_d)]
+    with np.errstate(over="ignore"):
+        return np.exp(log_z)
 
 
 def bp_residual(m: MultiGM, x: GaugeVector) -> dict[DirectedEdge, float]:
@@ -238,44 +298,59 @@ def bp_residual(m: MultiGM, x: GaugeVector) -> dict[DirectedEdge, float]:
     if not m.is_soft:
         raise ModelError("residuals need a soft model; soften it first")
     check_gauge(m, x)
-    lay, row = _Layout.for_gauge(m, x)
-    grad, _ = _residual_parts(lay, row, lay.weight_vectors(row))
-    return {d: float(grad[0, j]) for d, j in lay.col.items()}
+    lay, col = _Layout.for_gauge(m, x)
+    grad, _, _ = _residual_parts(lay, col, lay.weight_vectors(col))
+    return {d: float(grad[j, 0]) for d, j in lay.col.items()}
 
 
 def residual_norm(m: MultiGM, x: GaugeVector) -> float:
     """Max of the gradient norm and the normalized coloring residual."""
-    lay, row = _Layout.for_gauge(m, x)
-    return float(_residual_rows(lay, row, lay.weight_vectors(row))[0])
+    lay, col = _Layout.for_gauge(m, x)
+    return float(_residual_rows(lay, col, lay.weight_vectors(col))[0][0])
 
 
 # -- closed-form edge update ----------------------------------------------
 
 
-def _pair_update(
-    h00: np.ndarray, h10: np.ndarray, h01: np.ndarray, h11: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Physical stationary pairs of ``h/(1+x_p x_q)``, one per row."""
-    if (h10 <= 0).any() or (h01 <= 0).any():
+def _check_linear(lowest: np.ndarray) -> None:
+    """Raise if any linear coefficient ``h10`` or ``h01`` in ``lowest`` is <= 0."""
+    if (lowest <= 0).any():
         raise DegenerateEdgeError(
             "linear coefficient vanished (h10 or h01 = 0); soften the model"
         )
-    diff = h11 - h00
-    cross = 4.0 * h01 * h10
-    root = np.sqrt(diff * diff + cross)
-    num = diff + root
-    neg = diff < 0
-    if neg.any():
-        # conjugate form: avoids cancellation when the cross product is
-        # tiny relative to (h11 - h00)**2
-        num[neg] = cross[neg] / (root[neg] - diff[neg])
-    return num / (2.0 * h10), num / (2.0 * h01)
+
+
+def _pair_update(h: np.ndarray, out: np.ndarray, scale: float = 0.5) -> None:
+    """Physical stationary pairs of ``h/(1+x_p x_q)``, one per column, into ``out``.
+
+    ``h`` is ``(4, rows)``: ``h00, h01, h10, h11``, the row being
+    ``2 * bit_p + bit_q``; ``out`` is ``(2, rows)``, ``x_p`` then ``x_q``,
+    each times ``2 * scale``.  The linear coefficients must be positive
+    (see :func:`_check_linear`).
+    """
+    diff = h[3] - h[0]
+    cross = h[1] * h[2]
+    cross *= 4.0
+    root = diff * diff
+    root += cross
+    np.sqrt(root, out=root)
+    # diff + root, or where diff < 0 its conjugate form cross / (root - diff):
+    # no cancellation when the cross product is tiny relative to diff**2
+    num = np.abs(diff)
+    num += root
+    np.copyto(num, cross / num, where=diff < 0)
+    np.divide(num, h[2], out=out[0])
+    np.divide(num, h[1], out=out[1])
+    out *= scale
 
 
 def edge_pair_update(c: QuadCoeffs) -> tuple[float, float]:
     """Physical stationary pair of ``h/(1+x_p x_q)`` for one edge's quadratic."""
-    x_p, x_q = _pair_update(*(np.array([v], dtype=float) for v in c.as_tuple()))
-    return float(x_p[0]), float(x_q[0])
+    h = np.array([[c.h00], [c.h01], [c.h10], [c.h11]], dtype=float)
+    _check_linear(h[1:3])
+    out = np.empty((2, 1))
+    _pair_update(h, out)
+    return float(out[0, 0]), float(out[1, 0])
 
 
 def bp_value(c: QuadCoeffs) -> float:
@@ -283,10 +358,7 @@ def bp_value(c: QuadCoeffs) -> float:
 
     Equals ``h00 + h11`` when the quadratic factorizes (normal edge).
     """
-    if c.h10 <= 0 or c.h01 <= 0:
-        raise DegenerateEdgeError(
-            "linear coefficient vanished (h10 or h01 = 0); soften the model"
-        )
+    _check_linear(np.array([c.h10, c.h01]))
     root = math.sqrt((c.h11 - c.h00) ** 2 + 4.0 * c.h01 * c.h10)
     return 0.5 * (c.h11 + c.h00 + root)
 
@@ -298,6 +370,8 @@ def _chain_sums(t: np.ndarray, mono: np.ndarray, g: int) -> np.ndarray:
     the matching prefix of the node's weight vector ``mono``.
     """
     low = t.shape[-1] >> g
+    if low == 1 and t.ndim == 2:  # no slot left to reduce: the prefix is 1
+        return t
     return np.matmul(t.reshape(-1, 1 << g, low), mono[:, :low, None])[:, :, 0]
 
 
@@ -309,98 +383,129 @@ def _fold(t: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _edge_quad(
     chain: Mapping[NodeId, np.ndarray], mono: Mapping[NodeId, np.ndarray],
-    tail: NodeId, head: NodeId,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row ``(h00, h10, h01, h11)`` of the edge's local quadratic.
+    tail: NodeId, head: NodeId, out: np.ndarray,
+) -> np.ndarray:
+    """``out`` (4, rows): ``h00, h01, h10, h11`` of the edge's local quadratic.
 
     The edge's slots are the top bits of its endpoints' chains.  Other
     nodes' factors are omitted: a positive constant for soft models, it
     leaves the stationary pair be.
     """
-    if tail == head:
-        c = _chain_sums(chain[tail], mono[tail], 2)  # bits (+, -), + on top
-        return c[:, 0], c[:, 2], c[:, 1], c[:, 3]
-    (a0, a1), (b0, b1) = (_chain_sums(chain[a], mono[a], 1).T for a in (tail, head))
-    return a0 * b0, a1 * b0, a0 * b1, a1 * b1
+    if tail == head:  # bits (+, -), + on top: already in out's order
+        np.copyto(out, _chain_sums(chain[tail], mono[tail], 2).T)
+    else:
+        a = _chain_sums(chain[tail], mono[tail], 1).T
+        b = _chain_sums(chain[head], mono[head], 1).T
+        np.multiply(a[:, None], b, out=out.reshape(2, 2, -1))
+    return out
 
 
 # -- solver ----------------------------------------------------------------
 
 
+def _sweep(
+    lay: _Layout, x: np.ndarray, mono: Mapping[int, np.ndarray], cfg: SolverConfig
+) -> None:
+    """One damped Gauss-Seidel sweep over the edges, in place on ``x``.
+
+    ``mono`` holds :meth:`_Layout.weight_vectors` of ``x``.  Each node's
+    chain starts as its table; an edge's pair comes from the top bits of its
+    endpoints' chains, which then fold its slots in under the new values.
+    """
+    rows = x.shape[1]
+    chain, weights = lay.start(mono)
+    h, step = np.empty((4, rows)), np.empty((2, rows))
+    lowest = np.full((2, rows), math.inf)  # of every h01 and h10
+    keep_old, scale = cfg.damping, 0.5 * (1.0 - cfg.damping)
+    lo, hi = _CLAMP
+    # a vanished linear coefficient divides by zero; it is raised below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, (tail, head, more_tail, more_head) in enumerate(lay.steps):
+            pair = x[2 * i : 2 * i + 2]
+            _edge_quad(chain, weights, tail, head, h)
+            np.fmin(lowest, h[1:3], out=lowest)
+            _pair_update(h, step, scale)
+            pair *= keep_old
+            pair += step
+            np.maximum(pair, lo, out=pair)
+            np.minimum(pair, hi, out=pair)
+            # a self-edge folds its positive slot, then the one below it
+            if more_tail:
+                chain[tail] = _fold(chain[tail], pair[0])
+            if more_head:
+                chain[head] = _fold(chain[head], pair[1])
+    _check_linear(lowest)
+
+
 def _lockstep(
-    m: MultiGM, lay: _Layout, edges: Sequence[EdgeId], x: np.ndarray,
-    cfg: SolverConfig,
-) -> list[tuple[np.ndarray, float, int, bool, int]]:
+    lay: _Layout, x: np.ndarray, cfg: SolverConfig
+) -> list[tuple[np.ndarray, float, float, int, bool, int]]:
     """Sweep a batch of restarts together, each until its own convergence.
 
-    ``lay`` is laid out for a sweep over ``edges``.  Row ``r`` of ``x`` is
-    restart ``r``'s initial gauge.  Returns per row the final gauge,
-    residual, sweep count, convergence flag and the number of sweeps that
-    ended with a value on a ``_CLAMP`` bound.  A row leaves the batch after
-    the sweep that brings its residual within the tolerance, so its
+    Column ``r`` of ``x``, laid out by ``lay``, is restart ``r``'s initial
+    gauge.  Returns per restart the final gauge column, residual, value
+    ``z(x)``, sweep count, convergence flag and the number of sweeps that
+    ended with a value on a ``_CLAMP`` bound.  A restart leaves the batch
+    after the sweep that brings its residual within the tolerance, so its
     iterates are exactly those of a solve on its own.
     """
     x = x.copy()
-    n = len(x)
-    final, res = np.empty_like(x), np.empty(n)
+    n = x.shape[1]
+    final, res, value = np.empty_like(x), np.empty(n), np.empty(n)
     sweeps, clamped = np.empty(n, dtype=int), np.empty(n, dtype=int)
     active, hits = np.arange(n), np.zeros(n, dtype=int)
-    keep_old, take_new = cfg.damping, 1.0 - cfg.damping
     lo, hi = _CLAMP
-    ends = [m.graph.endpoints[e] for e in edges]
-    cols = [(lay.col[DirectedEdge(e, True)], lay.col[DirectedEdge(e, False)])
-            for e in edges]
     mono = lay.weight_vectors(x)
     for sweep in range(1, cfg.max_sweeps + 1):
-        chain = dict(lay.tables)
-        for (tail, head), (c_p, c_q) in zip(ends, cols):
-            xp, xq = _pair_update(*_edge_quad(chain, mono, tail, head))
-            for c, target in ((c_p, xp), (c_q, xq)):
-                step = keep_old * x[:, c] + take_new * target
-                x[:, c] = np.minimum(np.maximum(step, lo), hi)
-            # a self-edge folds its positive slot, then the one below it
-            chain[tail] = _fold(chain[tail], x[:, c_p])
-            chain[head] = _fold(chain[head], x[:, c_q])
-        hits += ((x <= lo) | (x >= hi)).any(axis=1)
+        _sweep(lay, x, mono, cfg)
+        hits += ((x <= lo) | (x >= hi)).any(axis=0)
         mono = lay.weight_vectors(x)
-        r = _residual_rows(lay, x, mono)
+        r, totals = _residual_rows(lay, x, mono)
         stop = (r <= cfg.tolerance) | (sweep == cfg.max_sweeps)
         if stop.any():
-            rows, keep = active[stop], ~stop
-            final[rows], res[rows], sweeps[rows] = x[stop], r[stop], sweep
-            clamped[rows] = hits[stop]
-            x, active, hits = x[keep], active[keep], hits[keep]
+            done, keep = active[stop], ~stop
+            final[:, done], res[done], sweeps[done] = x[:, stop], r[stop], sweep
+            value[done] = _values(totals[:, stop], x[:, stop])
+            clamped[done] = hits[stop]
+            x, active, hits = np.ascontiguousarray(x[:, keep]), active[keep], hits[keep]
             if not len(active):
                 break
-            mono = {a: v[keep] for a, v in mono.items()}
+            mono = {k: v[:, keep] for k, v in mono.items()}
     converged = res <= cfg.tolerance
-    return [(final[i], float(res[i]), int(sweeps[i]), bool(converged[i]),
-             int(clamped[i])) for i in range(n)]
+    return [(final[:, i], float(res[i]), float(value[i]), int(sweeps[i]),
+             bool(converged[i]), int(clamped[i])) for i in range(n)]
 
 
 def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
     """Every restart's own result, in restart order, on a soft model with edges."""
     darts = sorted(m.graph.directed_edges(), key=str)
-    edges = sorted(m.graph.edges)
+    lay = _Layout.of(m, sorted(m.graph.edges))
     rng = np.random.default_rng(cfg.seed)
     lo, hi = np.log(cfg.init_range[0]), np.log(cfg.init_range[1])
     # one draw per restart and dart, restart-major: the same stream and
-    # order as drawing each restart's gauge in turn
+    # order as drawing each restart's gauge in turn; then one column per
+    # restart, its rows in the layout's order
     x0 = np.exp(rng.uniform(lo, hi, size=(cfg.restarts, len(darts))))
-    lay = _Layout.of(m, darts, edges)
+    index = {d: j for j, d in enumerate(darts)}
+    x0 = x0[:, [index[d] for d in lay.darts]].T
+    back = [lay.col[d] for d in darts]
     k = max(len(f.variables) for f in m.factors.values())
     batch = max(1, _BATCH_ENTRIES >> k)
     out = []
     for start in range(0, cfg.restarts, batch):
-        for row, res, sweeps, converged, clamped in _lockstep(
-            m, lay, edges, x0[start : start + batch], cfg
+        for col, res, value, sweeps, converged, clamped in _lockstep(
+            lay, x0[:, start : start + batch], cfg
         ):
-            x = dict(zip(darts, row.tolist()))
             out.append(BPGauge(
-                x=x, residual=res, value=gauge_function(m, x), sweeps=sweeps,
-                converged=converged, clamped=clamped,
+                x=dict(zip(darts, col[back].tolist())), residual=res, value=value,
+                sweeps=sweeps, converged=converged, clamped=clamped,
             ))
     return out
+
+
+def _tied(a: float, b: float) -> bool:
+    """Two stationary values equal within a relative 1e-8 of the smaller."""
+    return abs(a - b) <= 1e-8 * max(min(abs(a), abs(b)), 1e-300)
 
 
 def solve_bp(m: MultiGM, cfg: SolverConfig = SolverConfig()) -> BPGauge:
@@ -408,9 +513,10 @@ def solve_bp(m: MultiGM, cfg: SolverConfig = SolverConfig()) -> BPGauge:
 
     Auto-softens hard models with ``cfg.soften_eps``.  Each restart starts
     from a fresh log-uniform gauge; among converged restarts the gauge with
-    the largest ``z(x)`` wins (ties keep the first).  A result with
-    ``converged=False`` reports the best residual reached - callers decide
-    whether that is fatal.
+    the largest ``z(x)`` wins.  Values within a relative 1e-8 of each other
+    are one stationary value, and the first restart to reach it is kept.
+    A result with ``converged=False`` reports the best residual reached -
+    callers decide whether that is fatal.
     """
     softened = not m.is_soft
     if softened:
@@ -431,14 +537,16 @@ def solve_bp(m: MultiGM, cfg: SolverConfig = SolverConfig()) -> BPGauge:
     for attempt in _restarts(m, cfg):
         if attempt.converged:
             values.append(attempt.value)
-            if best is None or attempt.value > best.value:
+            if best is None or (
+                attempt.value > best.value and not _tied(attempt.value, best.value)
+            ):
                 best = attempt
         elif fallback is None or attempt.residual < fallback.residual:
             fallback = attempt
 
     distinct: list[float] = []
     for v in sorted(values, reverse=True):
-        if not distinct or abs(distinct[-1] - v) > 1e-8 * max(abs(v), 1e-300):
+        if not distinct or not _tied(distinct[-1], v):
             distinct.append(v)
     chosen = best if best is not None else fallback
     assert chosen is not None
@@ -574,9 +682,11 @@ def saddle_check(
     if edge not in m.graph.endpoints:
         raise GraphError(f"unknown edge {edge!r}")
     # the sweep's first chain step on one row, the edge's slots on top
-    lay, row = _Layout.for_gauge(m, x_bp, first=edge)
-    quad = _edge_quad(lay.tables, lay.weight_vectors(row), *m.graph.endpoints[edge])
-    c = QuadCoeffs(*(float(v[0]) for v in quad))
+    lay, col = _Layout.for_gauge(m, x_bp, first=edge)
+    chain, weights = lay.start(lay.weight_vectors(col))
+    quad = _edge_quad(chain, weights, *m.graph.endpoints[edge], np.empty((4, 1)))
+    h00, h01, h10, h11 = quad[:, 0].tolist()
+    c = QuadCoeffs(h00, h10, h01, h11)
     xp0 = x_bp[DirectedEdge(edge, True)]
     xq0 = x_bp[DirectedEdge(edge, False)]
     # steps scale with the coordinates: an absolute 1e-5 step drowns in

@@ -5,7 +5,8 @@ Reports carry no timestamps and use sorted keys, so a fixed seed and flags
 reproduce them byte for byte.  Exit codes: 0 success or informative,
 1 invariant failure, 2 solver non-convergence, 3 input error (a bad model
 file, an invalid solver flag, or a model too large for ``verify``'s
-symbolic check).
+symbolic check), 4 a non-finite value in the report (then no report is
+printed).
 """
 
 from __future__ import annotations
@@ -40,10 +41,15 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_INPUT = 3
+EXIT_NONFINITE = 4
 
 
 class ModelFileError(ModelError):
     """Malformed model file; the message names the offending field."""
+
+
+class NonFiniteReportError(ValueError):
+    """A report holds an infinite or NaN value, which JSON cannot carry."""
 
 
 # -- model file format -------------------------------------------------------
@@ -167,8 +173,30 @@ def model_digest(m: MultiGM) -> str:
 # -- reports -----------------------------------------------------------------
 
 
+def _nonfinite_field(doc: Any, path: str = "") -> str | None:
+    """Dotted path of the first non-finite float in a report, if any."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return None
+    for key, value in items:
+        found = _nonfinite_field(value, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(report: dict, json_path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise NonFiniteReportError(
+            f"non-finite value in the report at {_nonfinite_field(report)}"
+        ) from None
     sys.stdout.write(text)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
@@ -554,6 +582,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ModelError, GraphError, bp_mod.ConfigError, poly_mod.PolyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except NonFiniteReportError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONFINITE
 
 
 if __name__ == "__main__":

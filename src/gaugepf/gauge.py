@@ -104,22 +104,23 @@ def transform_factors(m: MultiGM, x: GaugeVector) -> MultiGM:
 def monomials(w1: np.ndarray, w0: np.ndarray | None = None) -> np.ndarray:
     """Every configuration's weight product: the node's weight vector.
 
-    ``w1`` and ``w0`` have shape ``(R, k)``: one weight pair per slot for
-    each of ``R`` rows (``w0`` defaults to ones).  Returns the ``(R, 2**k)``
-    array ``V[r, i] = prod_j (w1[r, j] if bit j of i else w0[r, j])``.  It
-    is built by doubling one row vector slot by slot from bit 0 up, in
-    place, so ``V[:, :2**b]`` is the weight vector of the low ``b`` slots
-    alone: the BP solver reads the weights of a node's not-yet-updated
-    slots off such prefixes.
+    ``w1`` and ``w0`` have shape ``(..., k)``: one weight pair per slot for
+    each row, under any leading batch axes (``w0`` defaults to ones).
+    Returns the ``(..., 2**k)`` array ``V[..., i] = prod_j (w1[..., j] if
+    bit j of i else w0[..., j])``.  It is built by doubling one vector slot
+    by slot from bit 0 up, in place, so ``V[..., :2**b]`` is the weight
+    vector of the low ``b`` slots alone: the BP solver reads the weights of
+    a node's not-yet-updated slots off such prefixes, and builds the vectors
+    of all nodes with the same slot count in one call.
     """
-    rows, k = w1.shape
-    out = np.empty((rows, 1 << k))
-    out[:, 0] = 1.0
+    *lead, k = w1.shape
+    out = np.empty((*lead, 1 << k))
+    out[..., 0] = 1.0
     for j in range(k):
         n = 1 << j
-        np.multiply(out[:, :n], w1[:, j, None], out=out[:, n : 2 * n])
+        np.multiply(out[..., :n], w1[..., j, None], out=out[..., n : 2 * n])
         if w0 is not None:
-            out[:, :n] *= w0[:, j, None]
+            out[..., :n] *= w0[..., j, None]
     return out
 
 
@@ -151,7 +152,7 @@ def slot_sums(w: np.ndarray) -> np.ndarray:
     out = np.empty((rows, k, 2))
     for i in reversed(range(k)):
         halves = w.reshape(rows, 2, 1 << i)
-        out[:, i] = halves.sum(axis=2)
+        np.add.reduce(halves, axis=2, out=out[:, i])
         w = halves[:, 0] + halves[:, 1]
     return out
 

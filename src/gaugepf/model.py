@@ -65,7 +65,10 @@ class FactorTable:
         allow_negative: bool = False,
     ) -> "FactorTable":
         variables = tuple(variables)
-        table = np.asarray(list(values), dtype=float)
+        if isinstance(values, np.ndarray):
+            table = np.array(values, dtype=float)  # one copy; the caller's stays as is
+        else:
+            table = np.asarray(list(values), dtype=float)
         if table.shape != (2 ** len(variables),):
             raise ModelError(
                 f"factor at node {node!r}: table length {table.size} "

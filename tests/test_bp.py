@@ -25,6 +25,7 @@ from gaugepf import (
 )
 import gaugepf.bp as bp_mod
 from gaugepf.bp import (
+    BPGauge,
     ConfigError,
     DegenerateEdgeError,
     PolySelfEdgeError,
@@ -216,6 +217,40 @@ class TestSolveBP:
             runs = _restarts(m, SolverConfig(restarts=8, seed=int(rng.integers(1 << 31))))
             rng.integers(1 << 31)  # C07's seed for the direct minimizer
             assert all(a.converged and a.clamped == 0 for a in runs)
+
+    @staticmethod
+    def _crafted(monkeypatch, m, runs):
+        """Make ``_restarts`` return one converged gauge per (value, sweeps)."""
+        darts = m.graph.directed_edges()
+        gauges = [
+            BPGauge(x={d: float(i + 1) for d in darts}, residual=0.0, value=v,
+                    sweeps=sweeps, converged=True)
+            for i, (v, sweeps) in enumerate(runs)
+        ]
+        monkeypatch.setattr(bp_mod, "_restarts", lambda m, cfg: gauges)
+        return gauges
+
+    def test_equal_values_keep_first_restart(self, two_node_model, monkeypatch):
+        runs = [(0.5, 3), (2.0, 5), (2.0 * (1 + 1e-12), 9), (2.0 * (1 - 5e-9), 7)]
+        gauges = self._crafted(monkeypatch, two_node_model, runs)
+        g = solve_bp(two_node_model, FAST)
+        assert (g.x, g.value, g.sweeps) == (gauges[1].x, 2.0, 5)
+        assert g.stationary_values == (runs[2][0], 0.5)
+
+    def test_larger_value_beyond_tie_wins(self, two_node_model, monkeypatch):
+        runs = [(2.0, 5), (2.0 * (1 + 1e-6), 9), (2.0 * (1 + 1e-6 + 1e-12), 4)]
+        gauges = self._crafted(monkeypatch, two_node_model, runs)
+        g = solve_bp(two_node_model, FAST)
+        assert (g.x, g.sweeps) == (gauges[1].x, 9)
+        assert g.stationary_values == (runs[2][0], 2.0)
+
+    def test_value_finite_past_product_overflow(self):
+        """The node totals are summed as logs: prod_a h_a alone overflows here."""
+        m = random_tree_model(np.random.default_rng(0), 400)
+        assert gauge_function(m, {d: 1.0 for d in m.graph.directed_edges()}) == math.inf
+        g = solve_bp(m, SolverConfig(restarts=1))
+        assert g.converged
+        assert 1e200 < g.value < math.inf
 
     def test_deterministic_given_seed(self, rng):
         m = random_soft_model(rng, 5)

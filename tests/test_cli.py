@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,7 @@ from gaugepf.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
     EXIT_NONCONVERGENCE,
+    EXIT_NONFINITE,
     EXIT_OK,
     ModelFileError,
     load_model,
@@ -195,6 +197,30 @@ class TestCmdBP:
             capsys, ["bp", two_node_file, "--restarts", "2", "--max-sweeps", "5"]
         )
         assert report["results"]["clamped"] == 5
+
+    def test_nan_value_exits_four(self, capsys, tmp_path, two_node_file, monkeypatch):
+        real = gaugepf.bp.solve_bp
+        monkeypatch.setattr(
+            gaugepf.bp, "solve_bp",
+            lambda m, cfg: dataclasses.replace(real(m, cfg), value=math.nan),
+        )
+        copy = tmp_path / "report.json"
+        code = main(["bp", two_node_file, "--restarts", "2", "--json", str(copy)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NONFINITE
+        assert captured.out == ""
+        assert captured.err == "error: non-finite value in the report at results.Z_vbp\n"
+        assert not copy.exists()
+
+    def test_infinite_ratio_exits_four(self, capsys, tmp_path):
+        m = make_model(["a", "b"], [("e", "a", "b")], {"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        path = tmp_path / "zero.json"
+        path.write_text(serialize_model(m))
+        code = main(["bp", str(path), "--restarts", "2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NONFINITE
+        assert captured.out == ""
+        assert captured.err == "error: non-finite value in the report at results.ratio\n"
 
     def test_nonconvergence_exit_two(self, capsys, two_node_file):
         code, report, _ = run(

@@ -21,6 +21,7 @@ from gaugepf.gauge import (
     MIN_GAUGE_VALUE,
     edge_belief,
     gauge_matrix,
+    monomials,
     node_weights,
     slot_sums,
 )
@@ -254,3 +255,10 @@ class TestNodeWeights:
             np.testing.assert_array_equal(one[0], w[r])
             np.testing.assert_array_equal(one.sum(axis=1)[0], w.sum(axis=1)[r])
             np.testing.assert_array_equal(slot_sums(one)[0], slot_sums(w)[r])
+
+        # leading batch axes: the same weight vectors, bit for bit
+        stacked = monomials(
+            np.stack([w1, w1[::-1]]), None if w0 is None else np.stack([w0, w0[::-1]])
+        )
+        np.testing.assert_array_equal(stacked[0] * table, w)
+        np.testing.assert_array_equal(stacked[1] * table, w[::-1])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,3 +196,21 @@ class TestFactorTable:
             MultiGM.from_tables(
                 g, {"a": wrong, "b": FactorTable.from_values("b", g.incidence["b"], [3, 4])}
             )
+
+    def test_array_copied_once(self):
+        """A 2**20 table is one copy of the caller's array, not a list of floats."""
+        g = MultiGraph.build(["a"], [(f"s{i}", "a", "a") for i in range(10)])
+        values = np.linspace(0.5, 2.0, 1 << 20)
+        before = values.copy()
+        tracemalloc.start()
+        try:
+            f = FactorTable.from_values("a", g.incidence["a"], values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * values.nbytes
+        assert values.flags.writeable
+        np.testing.assert_array_equal(values, before)
+        np.testing.assert_array_equal(f.table, before)
+        assert not np.shares_memory(f.table, values)
+        assert not f.table.flags.writeable

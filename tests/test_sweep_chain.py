@@ -5,7 +5,9 @@ The reference rebuilds a node's weighted table at every edge update with
 every slot but the edge's, top slot first.  It uses no chain code of
 ``gaugepf.bp``.  The solver's calls to ``_pair_update`` are recorded and
 replayed, so each recorded quadratic is compared with the reference at
-exactly the gauge the solver had when it computed it.
+exactly the gauge the solver had when it computed it.  Gauges are laid out
+as the solver keeps them: one column per restart, edge ``i``'s positive and
+negative darts on rows ``2i`` and ``2i + 1``.
 """
 
 import numpy as np
@@ -15,9 +17,9 @@ from hypothesis import strategies as st
 
 import gaugepf.bp as bp_mod
 from gaugepf import soften
-from gaugepf.bp import SolverConfig, _restarts, solve_bp
+from gaugepf.bp import DegenerateEdgeError, SolverConfig, _restarts, solve_bp
 from gaugepf.families import attach_random_factors, matching_model
-from gaugepf.gauge import monomials, node_weights
+from gaugepf.gauge import gauge_function, monomials, node_weights
 from gaugepf.model import contract_model
 from gaugepf.multigraph import DirectedEdge, MultiGraph
 
@@ -44,13 +46,16 @@ def _fold_all_but(w, keep):
 
 
 def _reference_quad(m, col, x, edge):
-    """``(R, 2, 2)`` local quadratic ``h[b_plus, b_minus]`` of ``edge`` from scratch."""
+    """``(R, 2, 2)`` local quadratic ``h[b_plus, b_minus]`` of ``edge`` from scratch.
+
+    ``x`` holds one gauge per column, its rows placed by ``col``.
+    """
     tail, head = m.graph.endpoints[edge]
     d_p, d_q = DirectedEdge(edge, True), DirectedEdge(edge, False)
     sums = {}
     for a in {tail, head}:
         f = m.factors[a]
-        w1 = x[:, [col[d] for d in f.variables]]
+        w1 = x[[col[d] for d in f.variables]].T.copy()
         mine = [i for i, d in enumerate(f.variables) if d.edge == edge]
         w1[:, mine] = 1.0
         sums[a] = _fold_all_but(node_weights(f.table, w1), mine)
@@ -65,53 +70,58 @@ def _reference_quad(m, col, x, edge):
 def _check_chain(m, x0, cfg, monkeypatch):
     """Run ``_lockstep`` and check every edge's quadratic against the reference.
 
-    Returns the solver's per-row results.
+    Also checks each restart's final gauge bit for bit against the replay,
+    and its value against ``gauge_function``.  Returns the solver's
+    per-restart results.
     """
-    darts = sorted(m.graph.directed_edges(), key=str)
     edges = sorted(m.graph.edges)
-    lay = bp_mod._Layout.of(m, darts, edges)
+    lay = bp_mod._Layout.of(m, edges)
     calls = []
     real = bp_mod._pair_update
 
-    def spy(*h):
-        calls.append(np.stack([np.array(v) for v in h], axis=1))
-        return real(*h)
+    def spy(h, out, scale=0.5):
+        calls.append(h.copy())
+        return real(h, out, scale)
 
     monkeypatch.setattr(bp_mod, "_pair_update", spy)
-    out = bp_mod._lockstep(m, lay, edges, x0, cfg)
+    out = bp_mod._lockstep(lay, x0, cfg)
     monkeypatch.undo()
 
-    sweeps = np.array([o[2] for o in out])
+    sweeps = np.array([o[3] for o in out])
     x = x0.copy()
     calls = iter(calls)
     lo, hi = bp_mod._CLAMP
     for sweep in range(1, sweeps.max() + 1):
         active = np.flatnonzero(sweeps >= sweep)
-        for e in edges:
-            got = next(calls)
-            ref = _reference_quad(m, lay.col, x[active], e)
-            h00, h01, h10, h11 = ref.reshape(-1, 4).T
-            np.testing.assert_allclose(got, np.stack([h00, h10, h01, h11], 1), rtol=REL)
-            for positive, target in zip((True, False), real(*got.T)):
-                c = lay.col[DirectedEdge(e, positive)]
-                step = cfg.damping * x[active, c] + (1.0 - cfg.damping) * target
-                x[active, c] = np.minimum(np.maximum(step, lo), hi)
+        for i, e in enumerate(edges):
+            got = next(calls)  # rows h00, h01, h10, h11
+            ref = _reference_quad(m, lay.col, x[:, active], e)
+            np.testing.assert_allclose(got, ref.reshape(-1, 4).T, rtol=REL)
+            target = np.empty((2, len(active)))
+            real(got, target)
+            rows = [2 * i, 2 * i + 1]
+            step = cfg.damping * x[np.ix_(rows, active)] + (1.0 - cfg.damping) * target
+            x[np.ix_(rows, active)] = np.minimum(np.maximum(step, lo), hi)
         for r in active[sweeps[active] == sweep]:
-            np.testing.assert_array_equal(out[r][0], x[r])
+            np.testing.assert_array_equal(out[r][0], x[:, r])
     assert next(calls, None) is None
+    for col, _, value, *_ in out:
+        z = gauge_function(m, dict(zip(lay.darts, col.tolist())))
+        assert value == pytest.approx(z, rel=REL)
     return out
 
 
 def _x0(m, rows, seed):
-    shape = (rows, 2 * len(m.graph.edges))
+    shape = (2 * len(m.graph.edges), rows)
     return np.exp(np.random.default_rng(seed).uniform(np.log(0.25), np.log(4.0), shape))
 
 
 # -- models -------------------------------------------------------------------
 
 
-def _model(edges, seed, contract=()):
-    g = MultiGraph.build(sorted({a for _, t, h in edges for a in (t, h)}), edges)
+def _model(edges, seed, contract=(), isolated=()):
+    nodes = sorted({a for _, t, h in edges for a in (t, h)}) + list(isolated)
+    g = MultiGraph.build(nodes, edges)
     for e in contract:
         g = g.contract_edge(e)
     return attach_random_factors(g, np.random.default_rng(seed))
@@ -143,6 +153,14 @@ MODELS = {
          ("n3", "h", "b"), ("s3", "h", "h"), ("n4", "h", "c"), ("n5", "d", "h"),
          ("s4", "h", "h")], 5,
     ),
+    # every slot count from 0 to 4: an isolated node, a leaf, a class of
+    # three 2-slot nodes on a cycle, and a hub with a self-edge.  Edges "s"
+    # and "s," put the str-sorted darts (s+, s,+, s,-, s-) in another order
+    # than the sweep's rows (s+, s-, s,+, s,-).
+    "mixed": lambda: _model(
+        [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "d"), ("e4", "d", "a"),
+         ("s", "h", "h"), ("s,", "h", "a"), ("l", "h", "leaf")], 6, isolated=["iso"],
+    ),
 }
 
 
@@ -157,6 +175,9 @@ def test_models_cover_slot_positions():
     assert split[1] - split[0] > 1
     hub = MODELS["hub"]()
     assert max(len(f.variables) for f in hub.factors.values()) >= 12
+    mixed = MODELS["mixed"]()
+    lay = bp_mod._Layout.of(mixed, sorted(mixed.graph.edges))
+    assert {k: len(t) for k, t in lay.tables.items()} == {0: 1, 1: 1, 2: 3, 3: 1, 4: 1}
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -165,19 +186,19 @@ def test_two_sweeps_match_reference(name, rows, monkeypatch):
     m = MODELS[name]()
     cfg = SolverConfig(max_sweeps=2)
     out = _check_chain(m, _x0(m, rows, seed=rows), cfg, monkeypatch)
-    assert [o[2] for o in out] == [2] * rows
+    assert [o[3] for o in out] == [2] * rows
 
 
 def test_row_retiring_mid_solve(monkeypatch):
     m = MODELS["self_split"]()
     g = solve_bp(m, SolverConfig(restarts=2))
     assert g.converged
-    darts = sorted(m.graph.directed_edges(), key=str)
+    darts = bp_mod._Layout.of(m, sorted(m.graph.edges)).darts
     x0 = _x0(m, 3, seed=7)
-    x0[1] = [g.x[d] for d in darts]  # a fixed point: done after one sweep
+    x0[:, 1] = [g.x[d] for d in darts]  # a fixed point: done after one sweep
     out = _check_chain(m, x0, SolverConfig(max_sweeps=3), monkeypatch)
-    assert [o[2] for o in out] == [3, 1, 3]
-    assert out[1][3]
+    assert [o[3] for o in out] == [3, 1, 3]
+    assert out[1][4]
 
 
 # -- the chain step on its own ---------------------------------------------------
@@ -248,3 +269,26 @@ def test_k44_eighteen_slot_stage_matches_reference():
     assert g.sweeps == sweeps
     assert g.value == pytest.approx(value, rel=1e-9)
     assert g.x == pytest.approx(x, rel=1e-9)
+
+
+def test_mixed_slot_counts_match_reference():
+    """Every slot-count stack, a 0-slot node's constant in the value, and the
+    initial gauges drawn in str-sorted dart order."""
+    m = MODELS["mixed"]()
+    cfg = SolverConfig(restarts=3)
+    ref = reference_restarts(m, cfg)
+    new = _restarts(m, cfg)
+    for (x, _, value, sweeps, converged), g in zip(ref, new):
+        assert g.converged == converged
+        assert g.sweeps == sweeps
+        assert g.value == pytest.approx(value, rel=1e-9)
+        assert g.x == pytest.approx(x, rel=1e-9)
+
+
+def test_hard_model_raises_degenerate_edge():
+    """The sweep's own check: a one-slot column node of a perfect matching
+    has table (0, 1), so every edge's ``h10`` is 0."""
+    m = matching_model(1, 2, perfect=True)
+    assert not m.is_soft
+    with pytest.raises(DegenerateEdgeError, match="soften"):
+        _restarts(m, SolverConfig(restarts=2))
