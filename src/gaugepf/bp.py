@@ -22,16 +22,23 @@ summed out under their new weights, so an edge's coefficients are the
 chain's top bits reduced against the node's weight vector
 (:func:`gauge.monomials`) on the low bits, the slots not reached yet.
 Chains and weight vectors keep the restarts first, so each reduction is
-one ``matmul``.  The weight vectors are built once per sweep and slot
-count, for the gauge the next sweep starts from, and the residual pass
-reduces each slot count's weighted stack in one :func:`gauge.slot_sums`
-call; so a sweep costs about two table passes per node plus the residual
-pass, whatever the node's degree.  That pass also holds every node's
-total ``h_a``, from which a restart's value ``z(x)`` is taken when it
-stops.  Memory is ``O(rows * 2**k)`` for a ``k``-slot node; the restarts
-are split into batches that keep it bounded on large tables.  The
-single-gauge entry points (:func:`residual_norm`, :func:`bp_residual`,
-:func:`saddle_check`, ...) are the same code on one column.
+one ``matmul``.  On a normal edge the local quadratic factorises into the
+tail's and the head's sums, ``h_pq = a_p b_q``, and its stationary pair
+is BP's message ratio ``(b1 / b0, a1 / a0)``; only a self-edge's 2x2
+block takes the general closed form.  The weight vectors are rewritten
+once per sweep and slot count, for the gauge the next sweep starts from,
+and the residual pass reduces each slot count's weighted stack in one
+:func:`gauge.slot_sums` call; so a sweep costs about two table passes per
+node plus the residual pass, whatever the node's degree.  That pass also
+holds every node's total ``h_a``, from which a restart's value ``z(x)`` is
+taken when it stops.  Every array a sweep writes belongs to a sweep plan
+(:class:`_Plan`) that a batch allocates once and rebuilds only when
+restarts retire, together with each edge step's views of it, so a normal
+edge's step is a fixed list of ufunc calls that allocate nothing.  Memory
+is ``O(rows * 2**k)`` for a ``k``-slot node; the restarts are split into
+batches that keep it bounded on large tables.  The single-gauge entry
+points (:func:`residual_norm`, :func:`bp_residual`, :func:`saddle_check`,
+...) are the same code on one column.
 """
 
 from __future__ import annotations
@@ -139,11 +146,13 @@ class Beliefs:
 
 # Entries of one slot count's arrays per node across a batch of restarts:
 # the solver runs at most ``_BATCH_ENTRIES >> k`` restarts together when the
-# largest node has ``k`` slots.  The ``n_k`` nodes with ``k`` slots share one
-# ``(n_k, rows, 2**k)`` stack of weight vectors, and the residual pass builds
-# one weighted stack of the same size and ``slot_sums``' halves of it; the
-# chains hold at most one more table per node.  So a sweep holds about three
-# such stacks per slot count, which bounds its memory on large tables.
+# largest node has ``k`` slots.  A batch's sweep plan keeps two
+# ``(rows, 2**k)`` arrays per ``k``-slot node, its weight vector and one
+# buffer that the residual pass weighs the table into and a sweep folds
+# the node's chain into (the folds halve, so they fit); ``slot_sums``'
+# halves add at most one more while the residual pass runs.  So a batch
+# peaks at about three such arrays per node, which bounds its memory on
+# large tables.
 _BATCH_ENTRIES = 1 << 18
 
 # wide clamp on every update: keeps extreme near-hard iterates representable
@@ -231,29 +240,33 @@ class _Layout:
 
 
 def _residual_parts(
-    lay: _Layout, x: np.ndarray, mono: Mapping[int, np.ndarray]
+    lay: _Layout, x: np.ndarray, mono: Mapping[int, np.ndarray],
+    weighted: Mapping[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient of ``log z``, normalized single-colored residual per slot,
     and every node's total ``h_a``, one column per restart.
 
-    ``mono`` holds :meth:`_Layout.weight_vectors` of ``x``.  One pass per
-    slot count covers every slot of every node and row: with the slot's own
-    weight included, the bit-1 sum over the node sum is the slot's tilted
-    mean ``x_d * dh/dx_d / h``.  The totals come from each node's top slot
-    (``(nodes, rows)``, in slot-count order); a 0-slot node's is its
+    ``mono`` holds the weight vectors of ``x`` (:meth:`_Layout.weight_vectors`
+    or a :class:`_Plan`'s), and ``weighted``, if given, one buffer of the
+    same shape per slot count for the weighted tables.  One pass per slot
+    count covers every slot of every node and row: with the slot's own
+    weight included, the bit-1 sum over the node total is the slot's tilted
+    mean ``x_d * dh/dx_d / h``.  Each node's total comes once, from its top
+    slot (``(nodes, rows)``, in slot-count order); a 0-slot node's is its
     constant.
     """
     mean = np.empty_like(x)
     totals = []
     for k, rows in lay.slots.items():
-        w = mono[k] * lay.tables[k][:, None]  # (n_k, rows, 2**k)
+        w = np.multiply(mono[k], lay.tables[k][:, None],
+                        out=None if weighted is None else weighted[k])
         if not k:
             totals.append(w[:, :, 0])
             continue
         s = slot_sums(w.reshape(-1, 1 << k)).reshape(*w.shape[:2], k, 2)
-        tot = s[..., 0] + s[..., 1]
-        mean[rows] = (s[..., 1] / tot).transpose(0, 2, 1)
-        totals.append(tot[..., -1])
+        tot = s[:, :, -1, 0] + s[:, :, -1, 1]
+        mean[rows] = (s[..., 1] / tot[..., None]).transpose(0, 2, 1)
+        totals.append(tot)
     pairs = x.reshape(-1, 2, x.shape[1])  # [edge, (+, -), row]
     prod = pairs[:, :1] * pairs[:, 1:]
     beta = prod / (1.0 + prod)
@@ -265,11 +278,12 @@ def _residual_parts(
 
 
 def _residual_rows(
-    lay: _Layout, x: np.ndarray, mono: Mapping[int, np.ndarray]
+    lay: _Layout, x: np.ndarray, mono: Mapping[int, np.ndarray],
+    weighted: Mapping[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per restart, the max of the gradient norm and the normalized coloring
     residual; and every node's total ``h_a`` (see :func:`_residual_parts`)."""
-    grad, coloring, totals = _residual_parts(lay, x, mono)
+    grad, coloring, totals = _residual_parts(lay, x, mono, weighted)
     res = np.maximum(np.abs(grad).max(axis=0, initial=0.0),
                      coloring.max(axis=0, initial=0.0))
     return np.where(np.isnan(res), math.inf, res), totals
@@ -363,22 +377,24 @@ def bp_value(c: QuadCoeffs) -> float:
     return 0.5 * (c.h11 + c.h00 + root)
 
 
-def _chain_sums(t: np.ndarray, mono: np.ndarray, g: int) -> np.ndarray:
-    """``(R, 2**g)``: chain ``t`` per pattern of its top ``g`` bits.
+def _chain_operands(
+    t: np.ndarray, mono: np.ndarray, g: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``matmul`` operands whose ``(R, 2**g, 1)`` product is chain ``t``
+    per pattern of its top ``g`` bits.
 
     Its low bits, the slots not updated yet this sweep, are reduced against
     the matching prefix of the node's weight vector ``mono``.
     """
     low = t.shape[-1] >> g
-    if low == 1 and t.ndim == 2:  # no slot left to reduce: the prefix is 1
+    return t.reshape(-1, 1 << g, low), mono[:, :low, None]
+
+
+def _chain_sums(t: np.ndarray, mono: np.ndarray, g: int) -> np.ndarray:
+    """``(R, 2**g)``: chain ``t`` per pattern of its top ``g`` bits."""
+    if t.shape[-1] == 1 << g and t.ndim == 2:  # no slot left to reduce
         return t
-    return np.matmul(t.reshape(-1, 1 << g, low), mono[:, :low, None])[:, :, 0]
-
-
-def _fold(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Chain ``t`` with its top bit summed away under weights ``(1, w)`` per row."""
-    top = t.reshape(-1, 2, t.shape[-1] // 2)
-    return top[:, 0] + w[:, None] * top[:, 1]
+    return np.matmul(*_chain_operands(t, mono, g))[:, :, 0]
 
 
 def _edge_quad(
@@ -403,37 +419,111 @@ def _edge_quad(
 # -- solver ----------------------------------------------------------------
 
 
-def _sweep(
-    lay: _Layout, x: np.ndarray, mono: Mapping[int, np.ndarray], cfg: SolverConfig
-) -> None:
-    """One damped Gauss-Seidel sweep over the edges, in place on ``x``.
+class _Plan:
+    """Every array one batch's sweeps write, and each edge step's views of them.
 
-    ``mono`` holds :meth:`_Layout.weight_vectors` of ``x``.  Each node's
-    chain starts as its table; an edge's pair comes from the top bits of its
-    endpoints' chains, which then fold its slots in under the new values.
+    ``x`` is the batch's ``(darts, rows)`` gauge array, swept in place.  Per
+    slot count the plan holds the weight vectors, rewritten from ``x`` once
+    a sweep (:meth:`weigh`), and a stack of the same shape that the
+    residual pass weighs the tables into and a sweep folds the nodes'
+    chains into.  ``sums`` holds an edge's chain sums: the tail's and the
+    head's ``(bit 0, bit 1)`` sums on a normal edge, the 2x2 block
+    ``h[row, bit_p, bit_q]`` on a self-edge.  ``steps`` holds, per edge in
+    sweep order, the ``matmul`` operands that fill ``sums``, the ratio's
+    numerator and denominator (``None`` on a self-edge), the edge's
+    ``(2, rows)`` block of ``x``, and each fold's two halves, weights and
+    output.  A batch whose rows change gets a new plan.
     """
-    rows = x.shape[1]
-    chain, weights = lay.start(mono)
-    h, step = np.empty((4, rows)), np.empty((2, rows))
-    lowest = np.full((2, rows), math.inf)  # of every h01 and h10
-    keep_old, scale = cfg.damping, 0.5 * (1.0 - cfg.damping)
-    lo, hi = _CLAMP
-    # a vanished linear coefficient divides by zero; it is raised below
-    with np.errstate(divide="ignore", invalid="ignore"):
+
+    def __init__(self, lay: _Layout, x: np.ndarray) -> None:
+        rows = x.shape[1]
+        self.lay, self.x = lay, x
+        self.gathered = {k: np.empty((len(s), k, rows)) for k, s in lay.slots.items()}
+        self.mono = {k: np.empty((len(s), rows, 1 << k)) for k, s in lay.slots.items()}
+        self.weighted = {k: np.empty_like(v) for k, v in self.mono.items()}
+        self.sums = np.empty((rows, 2, 2))
+        self.step = np.empty((2, rows))
+        self.lowest = np.empty((rows, 2, 2))
+        self.steps = self._steps()
+        self.weigh()
+
+    def weigh(self) -> None:
+        """Rewrite the weight vectors ``prod_j (1, x_j)`` from ``x``, in place."""
+        for k, s in self.lay.slots.items():
+            w1 = np.take(self.x, s, axis=0, out=self.gathered[k])  # (n_k, k, rows)
+            monomials(w1.transpose(0, 2, 1), out=self.mono[k])
+
+    def _steps(self) -> tuple:
+        lay, x, sums = self.lay, self.x, self.sums
+        rows = x.shape[1]
+        chain, mono = lay.start(self.mono)
+        # a sweep's folds reuse the weighted-table buffer, free until the
+        # residual pass: each fold halves the chain, so all of them fit
+        spare = {a: self.weighted[k][i].reshape(-1) for a, (k, i) in lay.place.items()}
+
+        def read(a: NodeId, g: int, out: np.ndarray) -> tuple:
+            return (*_chain_operands(chain[a], mono[a], g), out)
+
+        steps = []
         for i, (tail, head, more_tail, more_head) in enumerate(lay.steps):
             pair = x[2 * i : 2 * i + 2]
-            _edge_quad(chain, weights, tail, head, h)
-            np.fmin(lowest, h[1:3], out=lowest)
-            _pair_update(h, step, scale)
+            if tail == head:  # bits (+, -), + on top: h's order
+                reads = (read(tail, 2, sums.reshape(rows, 4, 1)),)
+                ratio = None
+            else:
+                reads = (read(tail, 1, sums[:, 0, :, None]),
+                         read(head, 1, sums[:, 1, :, None]))
+                ratio = (sums[:, ::-1, 1], sums[:, ::-1, 0])  # (b1, a1) / (b0, a0)
+            folds = []
+            # a self-edge folds its positive slot, then the one below it
+            for a, w, more in ((tail, pair[0], more_tail), (head, pair[1], more_head)):
+                if more:
+                    top = chain[a].reshape(-1, 2, chain[a].shape[-1] // 2)
+                    n = rows * top.shape[-1]
+                    chain[a], spare[a] = spare[a][:n].reshape(rows, -1), spare[a][n:]
+                    folds.append((top[:, 1], w[:, None], top[:, 0], chain[a]))
+            steps.append((reads, ratio, pair, tuple(folds)))
+        return tuple(steps)
+
+
+def _sweep(plan: _Plan, cfg: SolverConfig) -> None:
+    """One damped Gauss-Seidel sweep over the edges, in place on ``plan.x``.
+
+    ``plan.mono`` holds the weight vectors of ``plan.x``.  Each node's chain
+    starts as its table; an edge's chain sums come from the top bits of its
+    endpoints' chains, which then fold its slots in under the new values.
+    On a normal edge the quadratic factorises, ``h_pq = a_p b_q``, and the
+    stationary pair is the message ratio ``(b1 / b0, a1 / a0)``; a
+    self-edge's 2x2 block takes the general closed form.
+    """
+    rows = plan.x.shape[1]
+    sums, step, lowest = plan.sums, plan.step, plan.lowest
+    h = sums.reshape(rows, 4).T  # a self-edge's h00, h01, h10, h11
+    ratio_out, linear = step.T, lowest.reshape(rows, 4).T[1:3]
+    keep_old, scale = cfg.damping, 1.0 - cfg.damping
+    lo, hi = _CLAMP
+    # the running minimum of the linear coefficients: on a normal edge
+    # h01 = a0 b1 and h10 = a1 b0 are positive exactly when all four sums are
+    lowest.fill(math.inf)
+    # a vanished linear coefficient divides by zero; it is raised below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for reads, ratio, pair, folds in plan.steps:
+            for t, w, out in reads:
+                np.matmul(t, w, out=out)
+            if ratio is None:
+                np.fmin(linear, h[1:3], out=linear)
+                _pair_update(h, step, 0.5 * scale)
+            else:
+                np.fmin(lowest, sums, out=lowest)
+                np.divide(*ratio, out=ratio_out)
+                step *= scale
             pair *= keep_old
             pair += step
             np.maximum(pair, lo, out=pair)
             np.minimum(pair, hi, out=pair)
-            # a self-edge folds its positive slot, then the one below it
-            if more_tail:
-                chain[tail] = _fold(chain[tail], pair[0])
-            if more_head:
-                chain[head] = _fold(chain[head], pair[1])
+            for top, w, bottom, out in folds:
+                np.multiply(top, w, out=out)
+                out += bottom
     _check_linear(lowest)
 
 
@@ -447,7 +537,8 @@ def _lockstep(
     ``z(x)``, sweep count, convergence flag and the number of sweeps that
     ended with a value on a ``_CLAMP`` bound.  A restart leaves the batch
     after the sweep that brings its residual within the tolerance, so its
-    iterates are exactly those of a solve on its own.
+    iterates are exactly those of a solve on its own; the batch then gets a
+    new :class:`_Plan` for the rows that remain.
     """
     x = x.copy()
     n = x.shape[1]
@@ -455,12 +546,12 @@ def _lockstep(
     sweeps, clamped = np.empty(n, dtype=int), np.empty(n, dtype=int)
     active, hits = np.arange(n), np.zeros(n, dtype=int)
     lo, hi = _CLAMP
-    mono = lay.weight_vectors(x)
+    plan = _Plan(lay, x)
     for sweep in range(1, cfg.max_sweeps + 1):
-        _sweep(lay, x, mono, cfg)
+        _sweep(plan, cfg)
         hits += ((x <= lo) | (x >= hi)).any(axis=0)
-        mono = lay.weight_vectors(x)
-        r, totals = _residual_rows(lay, x, mono)
+        plan.weigh()
+        r, totals = _residual_rows(lay, x, plan.mono, plan.weighted)
         stop = (r <= cfg.tolerance) | (sweep == cfg.max_sweeps)
         if stop.any():
             done, keep = active[stop], ~stop
@@ -470,7 +561,8 @@ def _lockstep(
             x, active, hits = np.ascontiguousarray(x[:, keep]), active[keep], hits[keep]
             if not len(active):
                 break
-            mono = {k: v[:, keep] for k, v in mono.items()}
+            del plan  # free the batch's buffers before the smaller plan's
+            plan = _Plan(lay, x)
     converged = res <= cfg.tolerance
     return [(final[:, i], float(res[i]), float(value[i]), int(sweeps[i]),
              bool(converged[i]), int(clamped[i])) for i in range(n)]

@@ -17,6 +17,7 @@ prefixes of that one vector.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -101,20 +102,24 @@ def transform_factors(m: MultiGM, x: GaugeVector) -> MultiGM:
     return MultiGM(graph=m.graph, factors=factors)
 
 
-def monomials(w1: np.ndarray, w0: np.ndarray | None = None) -> np.ndarray:
+def monomials(
+    w1: np.ndarray, w0: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Every configuration's weight product: the node's weight vector.
 
     ``w1`` and ``w0`` have shape ``(..., k)``: one weight pair per slot for
     each row, under any leading batch axes (``w0`` defaults to ones).
     Returns the ``(..., 2**k)`` array ``V[..., i] = prod_j (w1[..., j] if
-    bit j of i else w0[..., j])``.  It is built by doubling one vector slot
-    by slot from bit 0 up, in place, so ``V[..., :2**b]`` is the weight
-    vector of the low ``b`` slots alone: the BP solver reads the weights of
-    a node's not-yet-updated slots off such prefixes, and builds the vectors
-    of all nodes with the same slot count in one call.
+    bit j of i else w0[..., j])``, written into ``out`` if given.  It is
+    built by doubling one vector slot by slot from bit 0 up, in place, so
+    ``V[..., :2**b]`` is the weight vector of the low ``b`` slots alone: the
+    BP solver reads the weights of a node's not-yet-updated slots off such
+    prefixes, and rewrites the vectors of all nodes with the same slot count
+    in one call per sweep, into the same stack.
     """
     *lead, k = w1.shape
-    out = np.empty((*lead, 1 << k))
+    if out is None:
+        out = np.empty((*lead, 1 << k))
     out[..., 0] = 1.0
     for j in range(k):
         n = 1 << j
@@ -177,16 +182,17 @@ def gauge_function(m: MultiGM, x: GaugeVector) -> float:
     """The all-zeros term of the transformed series.
 
     ``prod_a h_a(x_a) / prod_edges (1 + x_plus * x_minus)``; positive for
-    soft models at any positive gauge.
+    soft models at any positive gauge.  Summed as logs with ``math.fsum``,
+    so it stays finite wherever the value does, even when the product of
+    the ``h_a`` alone would overflow; a value beyond the float range is
+    ``inf``, and a node with ``h_a = 0`` makes it 0.
     """
     check_gauge(m, x)
-    num = 1.0
-    for a in m.graph.nodes:
-        num *= h_node(m, a, x)
-    den = 1.0
-    for e in m.graph.edges:
-        den *= 1.0 + x[DirectedEdge(e, True)] * x[DirectedEdge(e, False)]
-    return num / den
+    h = np.array([h_node(m, a, x) for a in m.graph.nodes])
+    prod = [x[DirectedEdge(e, True)] * x[DirectedEdge(e, False)] for e in m.graph.edges]
+    with np.errstate(divide="ignore", over="ignore"):
+        log_z = math.fsum(np.log(h).tolist()) - math.fsum(np.log1p(prod).tolist())
+        return float(np.exp(log_z))
 
 
 def edge_belief(x: GaugeVector, edge: str) -> float:

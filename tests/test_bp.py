@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugepf import (
     ModelError,
@@ -38,6 +40,7 @@ from gaugepf.families import (
     random_soft_model,
     random_tree_model,
 )
+from gaugepf.gauge import h_node
 from gaugepf.multigraph import DirectedEdge as D
 from gaugepf.poly import QuadCoeffs
 
@@ -140,6 +143,19 @@ class TestEdgePairUpdate:
             assert abs(dp) <= 1e-6 * scale
             assert abs(dq) <= 1e-6 * scale
 
+
+    @given(a=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+           b=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_factorized_pair_is_message_ratio(self, a, b):
+        """On a normal edge ``h_pq = a_p b_q``, and the sweep takes the
+        stationary pair as the ratio ``(b1 / b0, a1 / a0)``.  Both are a few
+        float64 operations from the same sums: 1e-14 is tens of ulps."""
+        a0, a1 = np.exp(a)
+        b0, b1 = np.exp(b)
+        x_p, x_q = edge_pair_update(QuadCoeffs(a0 * b0, a1 * b0, a0 * b1, a1 * b1))
+        assert x_p == pytest.approx(b1 / b0, rel=1e-14)
+        assert x_q == pytest.approx(a1 / a0, rel=1e-14)
 
 class TestBPValue:
     def test_factorized_equals_h00_plus_h11(self):
@@ -247,7 +263,8 @@ class TestSolveBP:
     def test_value_finite_past_product_overflow(self):
         """The node totals are summed as logs: prod_a h_a alone overflows here."""
         m = random_tree_model(np.random.default_rng(0), 400)
-        assert gauge_function(m, {d: 1.0 for d in m.graph.directed_edges()}) == math.inf
+        ones = {d: 1.0 for d in m.graph.directed_edges()}
+        assert math.prod(h_node(m, a, ones) for a in m.graph.nodes) == math.inf
         g = solve_bp(m, SolverConfig(restarts=1))
         assert g.converged
         assert 1e200 < g.value < math.inf

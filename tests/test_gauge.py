@@ -16,7 +16,7 @@ from gaugepf import (
     z_sigma,
 )
 from gaugepf.bp import SolverConfig, marginals_from_gauge, solve_bp
-from gaugepf.families import random_soft_model
+from gaugepf.families import random_soft_model, random_tree_model
 from gaugepf.gauge import (
     MIN_GAUGE_VALUE,
     edge_belief,
@@ -139,6 +139,17 @@ class TestGaugeFunction:
             m = random_soft_model(rng, 4)
             assert gauge_function(m, random_gauge(m, rng, 0.05, 20.0)) > 0
 
+
+    def test_finite_past_product_overflow(self):
+        """Summed as logs: on this tree the product of the ``h_a`` overflows at
+        ``x = 1``, where ``z = exp(483.41...)``, and at the BP gauge."""
+        m = random_tree_model(np.random.default_rng(0), 400)
+        ones = {d: 1.0 for d in m.graph.directed_edges()}
+        assert math.prod(h_node(m, a, ones) for a in m.graph.nodes) == math.inf
+        assert math.log(gauge_function(m, ones)) == pytest.approx(483.41, abs=5e-3)
+        g = solve_bp(m, SolverConfig(restarts=1))
+        assert 1e200 < g.value < math.inf
+        assert gauge_function(m, g.x) == pytest.approx(g.value, rel=1e-12)
 
 class TestZSigma:
     def test_sum_recovers_partition(self, rng):

@@ -3,12 +3,17 @@
 The reference rebuilds a node's weighted table at every edge update with
 ``node_weights`` (the edge's own slots weighted by one) and then folds away
 every slot but the edge's, top slot first.  It uses no chain code of
-``gaugepf.bp``.  The solver's calls to ``_pair_update`` are recorded and
-replayed, so each recorded quadratic is compared with the reference at
-exactly the gauge the solver had when it computed it.  Gauges are laid out
-as the solver keeps them: one column per restart, edge ``i``'s positive and
-negative darts on rows ``2i`` and ``2i + 1``.
+``gaugepf.bp``.  The chain sums each edge step leaves in the sweep plan's
+``sums`` buffer are recorded and replayed: a normal edge's two endpoint
+sums ``a``, ``b`` through the message ratio ``(b1 / b0, a1 / a0)``, a
+self-edge's 2x2 block ``h`` through ``_pair_update``.  So each recorded
+input is compared with the reference (``a`` times ``b`` on a normal edge)
+at exactly the gauge the solver had when it read it.  Gauges are laid out
+as the solver keeps them: one column per restart, edge ``i``'s positive
+and negative darts on rows ``2i`` and ``2i + 1``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,7 +73,7 @@ def _reference_quad(m, col, x, edge):
 
 
 def _check_chain(m, x0, cfg, monkeypatch):
-    """Run ``_lockstep`` and check every edge's quadratic against the reference.
+    """Run ``_lockstep`` and check every edge's chain sums against the reference.
 
     Also checks each restart's final gauge bit for bit against the replay,
     and its value against ``gauge_function``.  Returns the solver's
@@ -77,13 +82,21 @@ def _check_chain(m, x0, cfg, monkeypatch):
     edges = sorted(m.graph.edges)
     lay = bp_mod._Layout.of(m, edges)
     calls = []
-    real = bp_mod._pair_update
+    real_sweep = bp_mod._sweep
 
-    def spy(h, out, scale=0.5):
-        calls.append(h.copy())
-        return real(h, out, scale)
+    def spy(plan, cfg):
+        steps = plan.steps
 
-    monkeypatch.setattr(bp_mod, "_pair_update", spy)
+        def recording():
+            for step in steps:
+                yield step
+                calls.append(plan.sums.copy())  # what the step just read
+
+        plan.steps = recording()
+        real_sweep(plan, cfg)
+        plan.steps = steps
+
+    monkeypatch.setattr(bp_mod, "_sweep", spy)
     out = bp_mod._lockstep(lay, x0, cfg)
     monkeypatch.undo()
 
@@ -94,11 +107,17 @@ def _check_chain(m, x0, cfg, monkeypatch):
     for sweep in range(1, sweeps.max() + 1):
         active = np.flatnonzero(sweeps >= sweep)
         for i, e in enumerate(edges):
-            got = next(calls)  # rows h00, h01, h10, h11
+            got = next(calls)
             ref = _reference_quad(m, lay.col, x[:, active], e)
-            np.testing.assert_allclose(got, ref.reshape(-1, 4).T, rtol=REL)
-            target = np.empty((2, len(active)))
-            real(got, target)
+            tail, head = m.graph.endpoints[e]
+            if tail == head:  # got is h[row, bit_p, bit_q]
+                np.testing.assert_allclose(got, ref, rtol=REL)
+                target = np.empty((2, len(active)))
+                bp_mod._pair_update(got.reshape(-1, 4).T.copy(), target)
+            else:  # got holds the endpoint sums a = got[:, 0], b = got[:, 1]
+                a, b = got[:, 0], got[:, 1]
+                np.testing.assert_allclose(a[:, :, None] * b[:, None, :], ref, rtol=REL)
+                target = np.stack([b[:, 1] / b[:, 0], a[:, 1] / a[:, 0]])
             rows = [2 * i, 2 * i + 1]
             step = cfg.damping * x[np.ix_(rows, active)] + (1.0 - cfg.damping) * target
             x[np.ix_(rows, active)] = np.minimum(np.maximum(step, lo), hi)
@@ -236,8 +255,10 @@ def test_chain_sums_match_brute_force(k, rows, seed, data):
     single = bp_mod._chain_sums(top, monomials(w1[:, others + [j]]), 1)
     wj = w1[:, j, None]
     np.testing.assert_allclose(single, brute[:, :, 0] + wj * brute[:, :, 1], rtol=1e-12)
-    # slot i folded away under its weight: slot j is the chain's top bit
-    folded = bp_mod._fold(top, w1[:, i])
+    # slot i folded away under its weight, as a sweep step folds it: slot j
+    # is the chain's top bit
+    halves = top.reshape(2, -1)
+    folded = halves[0] + w1[:, i, None] * halves[1]
     after = bp_mod._chain_sums(folded, mono, 1)
     wi = w1[:, i, None]
     np.testing.assert_allclose(after, brute[:, 0] + wi * brute[:, 1], rtol=1e-12)
@@ -245,9 +266,9 @@ def test_chain_sums_match_brute_force(k, rows, seed, data):
     for r in range(rows):
         one = monomials(w1[r : r + 1, others])
         np.testing.assert_array_equal(bp_mod._chain_sums(top, one, 2)[0], pair[r])
-        one_fold = bp_mod._fold(top, w1[r : r + 1, i])
-        np.testing.assert_array_equal(one_fold[0], folded[r])
-        np.testing.assert_array_equal(bp_mod._chain_sums(one_fold, one, 1)[0], after[r])
+        np.testing.assert_array_equal(
+            bp_mod._chain_sums(folded[r : r + 1], one, 1)[0], after[r]
+        )
 
 
 # -- a large table against the restart-by-restart reference ----------------------
@@ -292,3 +313,29 @@ def test_hard_model_raises_degenerate_edge():
     assert not m.is_soft
     with pytest.raises(DegenerateEdgeError, match="soften"):
         _restarts(m, SolverConfig(restarts=2))
+
+
+def test_plan_memory_bound():
+    """A batch keeps about three ``(rows, 2**k)`` arrays per ``k``-slot node
+    (see ``_BATCH_ENTRIES``): the weight vectors, the buffer that the residual
+    pass weighs the table into and the sweep folds the chain into, and
+    ``slot_sums``' halves.  The 16-slot stage of the softened K_{4,4}
+    normal-first sequence runs its 16 restarts in batches of 4."""
+    cfg = SolverConfig(restarts=16, max_sweeps=3)
+    w = np.exp(np.random.default_rng(44).uniform(np.log(0.5), np.log(2.0), (4, 4)))
+    m = matching_model(4, 4, weights=w)
+    order = m.graph.normal_first_order()
+    stage = soften(m, cfg.soften_eps)
+    for e in order[:6]:
+        stage = soften(contract_model(stage, e), cfg.soften_eps)
+    k = max(len(f.variables) for f in stage.factors.values())
+    rows = bp_mod._BATCH_ENTRIES >> k
+    assert (k, rows) == (16, 4)
+
+    tracemalloc.start()
+    try:
+        _restarts(stage, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * rows * 2**k * 8
