@@ -26,19 +26,24 @@ one ``matmul``.  On a normal edge the local quadratic factorises into the
 tail's and the head's sums, ``h_pq = a_p b_q``, and its stationary pair
 is BP's message ratio ``(b1 / b0, a1 / a0)``; only a self-edge's 2x2
 block takes the general closed form.  The weight vectors are rewritten
-once per sweep and slot count, for the gauge the next sweep starts from,
-and the residual pass reduces each slot count's weighted stack in one
-:func:`gauge.slot_sums` call; so a sweep costs about two table passes per
-node plus the residual pass, whatever the node's degree.  That pass also
-holds every node's total ``h_a``, from which a restart's value ``z(x)`` is
-taken when it stops.  Every array a sweep writes belongs to a sweep plan
-(:class:`_Plan`) that a batch allocates once and rebuilds only when
-restarts retire, together with each edge step's views of it, so a normal
-edge's step is a fixed list of ufunc calls that allocate nothing.  Memory
-is ``O(rows * 2**k)`` for a ``k``-slot node; the restarts are split into
-batches that keep it bounded on large tables.  The single-gauge entry
-points (:func:`residual_norm`, :func:`bp_residual`, :func:`saddle_check`,
-...) are the same code on one column.
+once per sweep and slot count, for the gauge the next sweep starts from;
+so a sweep costs about two table passes per node, whatever the node's
+degree.  The residual pass reduces each slot count's weighted stack in one
+:func:`gauge.slot_sums` call, one more table pass per node, and it runs
+only when a restart may have converged: the chain sums of the sweep's last
+edge give that edge's residual exactly, a lower bound on the restart's,
+and while it exceeds the tolerance by a margin in every restart the pass
+is skipped.  The pass also holds every node's total ``h_a``, from which a
+restart's value ``z(x)`` is taken when it stops.  Every array a sweep
+writes belongs to a sweep plan (:class:`_Plan`) that a batch allocates
+once and rebuilds only when restarts retire, together with each edge
+step's views of it, so a normal edge's step is a fixed list of ufunc calls
+that allocate nothing, and neither do the bound and the clamp-hit count
+that follow each sweep.  Memory is ``O(rows * 2**k)`` for a ``k``-slot
+node; the restarts are split into batches that keep it bounded on large
+tables.  The single-gauge entry points (:func:`residual_norm`,
+:func:`bp_residual`, :func:`saddle_check`, ...) are the same code on one
+column.
 """
 
 from __future__ import annotations
@@ -432,7 +437,12 @@ class _Plan:
     sweep order, the ``matmul`` operands that fill ``sums``, the ratio's
     numerator and denominator (``None`` on a self-edge), the edge's
     ``(2, rows)`` block of ``x``, and each fold's two halves, weights and
-    output.  A batch whose rows change gets a new plan.
+    output.  ``last`` is the last edge's ``(2, rows)`` block of ``x`` and
+    ``ends`` its per-dart sums ``[dart, bit, row]``, a view of ``sums`` on
+    a normal edge and a buffer of its own on a self-edge; :func:`_unconverged`
+    reads both and writes the per-row bound into ``bound``.  The remaining
+    buffers are scratch for that bound and for :meth:`at_bounds`.  A batch
+    whose rows change gets a new plan.
     """
 
     def __init__(self, lay: _Layout, x: np.ndarray) -> None:
@@ -445,6 +455,14 @@ class _Plan:
         self.step = np.empty((2, rows))
         self.lowest = np.empty((rows, 2, 2))
         self.steps = self._steps()
+        tail, head, *_ = lay.steps[-1]
+        self.last, self.self_last = x[-2:], tail == head  # the last edge's pair
+        self.ends = (np.empty((2, 2, rows)) if self.self_last
+                     else self.sums.transpose(1, 2, 0))
+        self.mean, self.diff = np.empty((2, rows)), np.empty((2, rows))
+        self.beta, self.bound = np.empty(rows), np.empty(rows)
+        self.flags = np.empty((2, *x.shape), dtype=bool)
+        self.hit = np.empty(rows, dtype=bool)
         self.weigh()
 
     def weigh(self) -> None:
@@ -452,6 +470,13 @@ class _Plan:
         for k, s in self.lay.slots.items():
             w1 = np.take(self.x, s, axis=0, out=self.gathered[k])  # (n_k, k, rows)
             monomials(w1.transpose(0, 2, 1), out=self.mono[k])
+
+    def at_bounds(self) -> np.ndarray:
+        """Per row, whether a gauge value lies on a ``_CLAMP`` bound (a plan buffer)."""
+        lo, hi = _CLAMP
+        np.less_equal(self.x, lo, out=self.flags[0])
+        np.greater_equal(self.x, hi, out=self.flags[1])
+        return np.logical_or.reduce(self.flags, axis=(0, 1), out=self.hit)
 
     def _steps(self) -> tuple:
         lay, x, sums = self.lay, self.x, self.sums
@@ -527,6 +552,52 @@ def _sweep(plan: _Plan, cfg: SolverConfig) -> None:
     _check_linear(lowest)
 
 
+# The full residual pass is skipped only when every row's last-edge bound
+# exceeds this factor times the tolerance: the bound and the pass sum in
+# different orders, and the margin keeps a rounding difference between them
+# from hiding a row that has converged.
+_MARGIN = 2.0
+
+
+def _unconverged(plan: _Plan, tol: float) -> bool:
+    """Whether the sweep's last edge shows every row's residual above
+    ``_MARGIN * tol``, from its chain sums, which ``plan.sums`` still holds
+    when :func:`_sweep` returns.
+
+    The last edge comes last at both its endpoints, so their chains have
+    every other slot folded in at its final value, and each of its darts'
+    tilted means ``S1 / (S0 + S1)`` is exact: ``S = (a0, x_p a1)`` at a
+    normal edge's tail and ``(b0, x_q b1)`` at its head; ``(h00 + h01 x_q,
+    x_p (h10 + h11 x_q))`` and its mirror on a self-edge.  With ``beta =
+    x_p x_q / (1 + x_p x_q)`` a dart's gradient ``mean / x - x_sib / (1 +
+    x_p x_q)`` is ``(mean - beta) / x`` and its coloring residual
+    ``|mean - beta| / beta``, so the larger of the two is ``|mean - beta| /
+    min(x, beta)``: the residual pass's value on that dart, a lower bound on
+    its row's.  The larger over the two darts goes into ``plan.bound``; a NaN
+    bound counts as possibly converged.
+    """
+    x, ends, mean, diff, beta = plan.last, plan.ends, plan.mean, plan.diff, plan.beta
+    if plan.self_last:  # sum the 2x2 block h[bit_p, bit_q] over the other dart
+        h = plan.sums.transpose(1, 2, 0)
+        np.multiply(h[:, 1], x[1], out=ends[0])
+        ends[0] += h[:, 0]
+        np.multiply(h[1], x[0], out=ends[1])
+        ends[1] += h[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.multiply(ends[:, 1], x, out=mean)
+        np.add(mean, ends[:, 0], out=diff)
+        mean /= diff
+        np.multiply(x[0], x[1], out=beta)
+        np.add(beta, 1.0, out=diff[0])
+        beta /= diff[0]
+        np.subtract(mean, beta, out=diff)
+        np.abs(diff, out=diff)
+        np.minimum(x, beta, out=mean)
+        diff /= mean
+        np.maximum(diff[0], diff[1], out=plan.bound)
+    return bool(plan.bound.min() > _MARGIN * tol)
+
+
 def _lockstep(
     lay: _Layout, x: np.ndarray, cfg: SolverConfig
 ) -> list[tuple[np.ndarray, float, float, int, bool, int]]:
@@ -538,19 +609,24 @@ def _lockstep(
     ended with a value on a ``_CLAMP`` bound.  A restart leaves the batch
     after the sweep that brings its residual within the tolerance, so its
     iterates are exactly those of a solve on its own; the batch then gets a
-    new :class:`_Plan` for the rows that remain.
+    new :class:`_Plan` for the rows that remain.  The full residual pass
+    runs only after a sweep whose last edge leaves some row within
+    ``_MARGIN`` times the tolerance (:func:`_unconverged`), and after the
+    last sweep; the others cannot stop a row, so skipping them changes no
+    result.
     """
     x = x.copy()
     n = x.shape[1]
     final, res, value = np.empty_like(x), np.empty(n), np.empty(n)
     sweeps, clamped = np.empty(n, dtype=int), np.empty(n, dtype=int)
     active, hits = np.arange(n), np.zeros(n, dtype=int)
-    lo, hi = _CLAMP
     plan = _Plan(lay, x)
     for sweep in range(1, cfg.max_sweeps + 1):
         _sweep(plan, cfg)
-        hits += ((x <= lo) | (x >= hi)).any(axis=0)
+        hits += plan.at_bounds()
         plan.weigh()
+        if sweep < cfg.max_sweeps and _unconverged(plan, cfg.tolerance):
+            continue
         r, totals = _residual_rows(lay, x, plan.mono, plan.weighted)
         stop = (r <= cfg.tolerance) | (sweep == cfg.max_sweeps)
         if stop.any():

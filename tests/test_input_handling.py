@@ -1,0 +1,168 @@
+"""Properties of the model file format and the input-error exit code.
+
+Any model, self-edges and parallel edges included, survives a
+serialize/parse round trip bit for bit.  Every way of breaking a valid
+document, and every out-of-range solver flag, makes each command exit 3
+with an ``error:`` line on stderr and nothing on stdout.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaugepf import FactorTable, MultiGM, MultiGraph
+from gaugepf.cli import EXIT_INPUT, main, parse_model, serialize_model
+
+from conftest import make_model
+
+# ids with the characters a dart name or a list could trip over
+IDS = st.text(alphabet="ab01_+-, ", min_size=1, max_size=3)
+
+
+@st.composite
+def models(draw):
+    """A model on 1-4 nodes with a self-edge, a parallel pair, possibly an
+    isolated node, and tables that may hold zeros."""
+    nodes = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+    node = st.sampled_from(nodes)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3))
+    a, b = draw(node), draw(node)
+    pairs += [(a, a), (a, b), (b, a)]
+    ids = draw(st.lists(IDS, min_size=len(pairs), max_size=len(pairs), unique=True))
+    graph = MultiGraph.build(nodes, [(e, t, h) for e, (t, h) in zip(ids, pairs)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.floats(0.0, 0.5))
+    factors = {}
+    for v in graph.nodes:
+        k = len(graph.incidence[v])
+        table = np.exp(rng.uniform(-30.0, 30.0, 1 << k))
+        table[rng.random(1 << k) < zeros] = 0.0
+        factors[v] = FactorTable.from_values(v, graph.incidence[v], table)
+    return MultiGM.from_tables(graph, factors)
+
+
+@given(models())
+@settings(max_examples=60, deadline=None)
+def test_round_trip(m):
+    text = serialize_model(m)
+    m2 = parse_model(json.loads(text))
+    assert m2.graph.nodes == m.graph.nodes
+    assert m2.graph.edges == m.graph.edges
+    assert dict(m2.graph.endpoints) == dict(m.graph.endpoints)
+    assert dict(m2.graph.incidence) == dict(m.graph.incidence)
+    for v in m.graph.nodes:
+        assert m2.factors[v].variables == m.factors[v].variables
+        assert m2.factors[v].table.tobytes() == m.factors[v].table.tobytes()
+    assert serialize_model(m2) == text
+
+
+# -- exit 3 ---------------------------------------------------------------------
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_input_error(command, text, flags=()):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [command, path, *flags]
+        if command == "contract":
+            argv += ["--mode", "bp-sequence"]
+        code, out, err = _run(argv)
+    assert code == EXIT_INPUT, (argv, err)
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def broken_documents(draw):
+    """The text of a valid model's document broken in one of ten ways."""
+    text = serialize_model(draw(models()))
+    doc = json.loads(text)
+    kind = draw(st.sampled_from([
+        "truncated", "not an object", "missing section", "missing factor",
+        "bad entry", "bad key", "unknown node", "wrong order", "duplicate edge",
+        "incomplete edge",
+    ]))
+    node = draw(st.sampled_from(sorted(doc["factors"])))
+    factor = doc["factors"][node]
+    edge = draw(st.sampled_from(doc["edges"]))
+    if kind == "truncated":
+        return text[: draw(st.integers(0, len(text.rstrip()) - 1))]
+    if kind == "not an object":
+        return json.dumps(draw(st.one_of(st.integers(), st.text(), st.lists(st.integers()))))
+    if kind == "missing section":
+        del doc[draw(st.sampled_from(["nodes", "edges", "factors"]))]
+    elif kind == "missing factor":
+        del doc["factors"][node]
+    elif kind == "bad entry":
+        key = draw(st.sampled_from(sorted(factor["table"])))
+        bad_number = st.floats(allow_nan=True).filter(lambda v: not math.isfinite(v) or v < 0)
+        factor["table"][key] = draw(st.one_of(bad_number, JUNK))
+    elif kind == "bad key":
+        k = len(factor["order"])
+        factor["table"][draw(st.text(alphabet="01x", max_size=k + 1).filter(
+            lambda s: len(s) != k or "x" in s))] = 1.0
+    elif kind == "unknown node":
+        edge[draw(st.sampled_from(["tail", "head"]))] = draw(
+            IDS.filter(lambda v: v not in doc["nodes"]))
+    elif kind == "wrong order":
+        order = factor["order"]
+        wrong = [order + ["x+"], order[1:], "".join(order) or "x+", None]
+        factor["order"] = draw(st.sampled_from([o for o in wrong + [order[::-1]] if o != order]))
+    elif kind == "duplicate edge":
+        doc["edges"].append(dict(edge))
+    else:
+        del edge[draw(st.sampled_from(["id", "tail", "head"]))]
+    return json.dumps(doc, allow_nan=True)
+
+
+COMMANDS = st.sampled_from(["exact", "bp", "contract", "loops"])
+
+
+@given(broken_documents(), COMMANDS)
+@settings(max_examples=120, deadline=None)
+def test_broken_document_exits_three(text, command):
+    _assert_input_error(command, text)
+
+
+BAD_FLAGS = st.one_of(
+    st.tuples(st.sampled_from(["--tol", "--soften"]),
+              st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan]))),
+    st.tuples(st.just("--damping"), st.one_of(
+        st.floats(min_value=1.0), st.floats(max_value=0.0, exclude_max=True),
+        st.just(math.nan))),
+    st.tuples(st.sampled_from(["--restarts", "--max-sweeps"]), st.integers(max_value=0)),
+)
+
+TWO_NODE = serialize_model(
+    make_model(["a", "b"], [("e1", "a", "b")], {"a": [1, 2], "b": [3, 4]})
+)
+
+
+@given(BAD_FLAGS, st.sampled_from(["bp", "contract", "loops", "verify"]))
+@settings(max_examples=60, deadline=None)
+def test_bad_solver_flag_exits_three(flag, command):
+    name, value = flag
+    _assert_input_error(command, TWO_NODE, [f"{name}={value!r}"])

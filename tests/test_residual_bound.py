@@ -1,0 +1,158 @@
+"""The last-edge residual bound that lets the solver skip its residual pass.
+
+After a sweep, ``bp._unconverged`` reads the chain sums of the sweep's last
+edge and writes, per restart, the residual on that edge's two darts into
+the plan's ``bound`` buffer.  It must be the residual pass's value on those
+darts, hence a lower bound on the row's residual, whether the last edge is
+a normal edge or a self-edge.  Skipping the pass when every row's bound is
+above the tolerance must change no result: the solver with the bound
+switched off (the full pass after every sweep) is the reference, bit for
+bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gaugepf.bp as bp_mod
+from gaugepf import soften
+from gaugepf.bp import SolverConfig, _restarts, solve_bp
+from gaugepf.families import (
+    attach_random_factors,
+    matching_model,
+    random_soft_model,
+    random_tree_model,
+)
+from gaugepf.model import contract_model
+from gaugepf.multigraph import MultiGraph
+
+from test_batched_solver import MODELS as LOOPY_MODELS
+
+REL = 1e-12
+
+
+# -- the bound against the residual pass -----------------------------------------
+
+
+@st.composite
+def last_edge_models(draw, self_last):
+    """A random soft multigraph model whose sorted last edge ``z`` is a
+    self-edge or a normal edge; the other edges may be either, and parallel."""
+    n_nodes = draw(st.integers(1 if self_last else 2, 4))
+    nodes = [f"n{i}" for i in range(n_nodes)]
+    node = st.sampled_from(nodes)
+    others = draw(st.lists(st.tuples(node, node), max_size=5))
+    tail = draw(node)
+    head = tail if self_last else draw(node.filter(lambda a: a != tail))
+    edges = [(f"e{i}", t, h) for i, (t, h) in enumerate(others)] + [("z", tail, head)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return attach_random_factors(MultiGraph.build(nodes, edges), rng)
+
+
+@given(
+    self_last=st.booleans(),
+    data=st.data(),
+    rows=st.integers(1, 4),
+    sweeps=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_bound_is_last_edge_residual(self_last, data, rows, sweeps, seed):
+    m = data.draw(last_edge_models(self_last))
+    lay = bp_mod._Layout.of(m, sorted(m.graph.edges))
+    assert (lay.steps[-1][0] == lay.steps[-1][1]) == self_last
+    shape = (len(lay.darts), rows)
+    x = np.exp(np.random.default_rng(seed).uniform(np.log(0.25), np.log(4.0), shape))
+    plan = bp_mod._Plan(lay, x)
+    cfg = SolverConfig()
+    for _ in range(sweeps):
+        bp_mod._sweep(plan, cfg)
+        plan.weigh()
+    bp_mod._unconverged(plan, cfg.tolerance)
+    bound = plan.bound.copy()
+
+    r, _ = bp_mod._residual_rows(lay, x, plan.mono, plan.weighted)
+    assert np.all(bound <= r * (1.0 + REL))
+    grad, coloring, _ = bp_mod._residual_parts(lay, x, plan.mono)
+    last = np.maximum(np.abs(grad[-2:]), coloring[-2:]).max(axis=0)
+    np.testing.assert_allclose(bound, last, rtol=1e-9)
+    # the pass is never skipped when it would stop a row, nor when a row's
+    # last-edge residual meets the tolerance (the margin is at least 1)
+    assert not bp_mod._unconverged(plan, r.min())
+    assert not bp_mod._unconverged(plan, last.min())
+
+
+# -- skipping the pass changes no result ------------------------------------------
+
+
+def _full_pass_every_sweep(monkeypatch):
+    monkeypatch.setattr(bp_mod, "_unconverged", lambda plan, tol: False)
+
+
+def _k44_stage(slots):
+    """The softened K_{4,4} normal-first contraction stage with a ``slots``-slot node."""
+    cfg = SolverConfig()
+    w = np.exp(np.random.default_rng(44).uniform(np.log(0.5), np.log(2.0), (4, 4)))
+    m = matching_model(4, 4, weights=w)
+    stage = soften(m, cfg.soften_eps)
+    for e in m.graph.normal_first_order():
+        if max(len(f.variables) for f in stage.factors.values()) == slots:
+            return stage
+        stage = soften(contract_model(stage, e), cfg.soften_eps)
+    raise AssertionError(f"no {slots}-slot stage")
+
+
+CASES = {
+    **{name: (make, SolverConfig(restarts=6)) for name, make in LOOPY_MODELS.items()},
+    "loopy_10": (lambda: random_soft_model(np.random.default_rng(5), 10, n_nodes=5),
+                 SolverConfig(restarts=6, seed=3)),
+    "tree_9": (lambda: random_tree_model(np.random.default_rng(9), 9), SolverConfig(restarts=6)),
+    "k44_16_slots": (lambda: _k44_stage(16), SolverConfig(restarts=8)),
+    "capped": (LOOPY_MODELS["loopy_9"], SolverConfig(max_sweeps=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_skipping_matches_full_pass_bit_for_bit(name, monkeypatch):
+    make, cfg = CASES[name]
+    m = make()
+    soft = m if m.is_soft else soften(m, cfg.soften_eps)
+    skipped = _restarts(soft, cfg), solve_bp(m, cfg)
+    _full_pass_every_sweep(monkeypatch)
+    full = _restarts(soft, cfg), solve_bp(m, cfg)
+    assert skipped == full
+    if name == "hard_k33":
+        assert skipped[1].softened
+
+
+def test_skipping_matches_full_pass_with_clamp_hits(monkeypatch):
+    """As ``test_clamp_hits_counted``: a narrow clamp that most sweeps hit."""
+    m = random_soft_model(np.random.default_rng(20240811), 5)
+    cfg = SolverConfig(restarts=3, max_sweeps=20)
+    monkeypatch.setattr(bp_mod, "_CLAMP", (0.9, 1.1))
+    skipped = _restarts(m, cfg)
+    assert any(g.clamped for g in skipped)
+    _full_pass_every_sweep(monkeypatch)
+    assert _restarts(m, cfg) == skipped
+
+
+def test_residual_pass_runs_on_a_minority_of_sweeps(monkeypatch):
+    m = LOOPY_MODELS["loopy_9"]()
+    counts = {"sweeps": 0, "passes": 0}
+    real_sweep, real_pass = bp_mod._sweep, bp_mod._residual_rows
+
+    def sweep(*args):
+        counts["sweeps"] += 1
+        return real_sweep(*args)
+
+    def residual_pass(*args):
+        counts["passes"] += 1
+        return real_pass(*args)
+
+    monkeypatch.setattr(bp_mod, "_sweep", sweep)
+    monkeypatch.setattr(bp_mod, "_residual_rows", residual_pass)
+    (g,) = _restarts(m, SolverConfig(restarts=1))
+    assert g.converged
+    assert counts["sweeps"] == g.sweeps >= 30
+    assert counts["passes"] < counts["sweeps"] / 2
