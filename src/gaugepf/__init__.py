@@ -51,11 +51,11 @@ from .bp import (
     edge_pair_update,
     lagrangian_L,
     marginals_from_gauge,
-    minimize_bethe_direct,
     saddle_check,
     sequence_decreases,
     solve_bp,
 )
+from .bethe import minimize_bethe_direct
 from .loops import enumerate_generalized_loops, loop_series_sum, loop_term
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -41,9 +41,11 @@ step's views of it, so a normal edge's step is a fixed list of ufunc calls
 that allocate nothing, and neither do the bound and the clamp-hit count
 that follow each sweep.  Memory is ``O(rows * 2**k)`` for a ``k``-slot
 node; the restarts are split into batches that keep it bounded on large
-tables.  The single-gauge entry points (:func:`residual_norm`,
-:func:`bp_residual`, :func:`saddle_check`, ...) are the same code on one
-column.
+tables.  The single-gauge entry points are the same code on one column:
+:func:`residual_norm` and :func:`bp_residual` run the residual pass, and
+:func:`saddle_check` reads an edge's quadratic from the first step of a
+one-column sweep plan.  The direct Bethe minimizer that cross-checks the
+solver lives apart from it, in :mod:`gaugepf.bethe`.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ from .gauge import (
     node_weights,
     slot_sums,
 )
-from .model import FactorTable, ModelError, MultiGM, contract_model, soften
+from .bethe import _xlogx
+from .model import ModelError, MultiGM, contract_model, soften
 from .multigraph import DirectedEdge, EdgeId, GraphError, NodeId
 from .poly import FactoredGaugePoly, QuadCoeffs, exact_contract_poly
 
@@ -94,7 +97,7 @@ class SolverConfig:
 
     ``damping`` is the weight kept on the old value at each edge update
     (0 means full steps).  Initial gauges are drawn log-uniformly from
-    ``init_range`` per restart.
+    ``_INIT_RANGE`` per restart.
     """
 
     damping: float = 0.5
@@ -103,17 +106,14 @@ class SolverConfig:
     restarts: int = 16
     seed: int = 0
     soften_eps: float = 1e-12
-    init_range: tuple[float, float] = (0.25, 4.0)
 
     def __post_init__(self) -> None:
-        lo, hi = self.init_range
         for ok, name, rule in (
             (0.0 <= self.damping < 1.0, "damping", "lie in [0, 1)"),
             (0.0 < self.tolerance < math.inf, "tolerance", "be positive and finite"),
             (self.max_sweeps >= 1, "max_sweeps", "be at least 1"),
             (self.restarts >= 1, "restarts", "be at least 1"),
             (0.0 < self.soften_eps < math.inf, "soften_eps", "be positive and finite"),
-            (0.0 < lo <= hi < math.inf, "init_range", "be finite with 0 < lo <= hi"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must {rule}, got {getattr(self, name)!r}")
@@ -159,6 +159,9 @@ class Beliefs:
 # peaks at about three such arrays per node, which bounds its memory on
 # large tables.
 _BATCH_ENTRIES = 1 << 18
+
+# every restart's initial gauge values are drawn log-uniformly from this range
+_INIT_RANGE = (0.25, 4.0)
 
 # wide clamp on every update: keeps extreme near-hard iterates representable
 _CLAMP = (1e-18, 1e18)
@@ -229,16 +232,6 @@ class _Layout:
         """Per slot count, the ``(n_k, rows, 2**k)`` weight vectors
         ``prod_j (1, x_j)`` over the bits of its tables."""
         return {k: monomials(x[s].transpose(0, 2, 1)) for k, s in self.slots.items()}
-
-    def start(
-        self, mono: Mapping[int, np.ndarray]
-    ) -> tuple[dict[NodeId, np.ndarray], dict[NodeId, np.ndarray]]:
-        """Each node's chain at the start of a sweep, its table, and its
-        ``(rows, 2**k)`` weight vector."""
-        return (
-            {a: self.tables[k][i] for a, (k, i) in self.place.items()},
-            {a: mono[k][i] for a, (k, i) in self.place.items()},
-        )
 
 
 # -- residuals ------------------------------------------------------------
@@ -395,32 +388,6 @@ def _chain_operands(
     return t.reshape(-1, 1 << g, low), mono[:, :low, None]
 
 
-def _chain_sums(t: np.ndarray, mono: np.ndarray, g: int) -> np.ndarray:
-    """``(R, 2**g)``: chain ``t`` per pattern of its top ``g`` bits."""
-    if t.shape[-1] == 1 << g and t.ndim == 2:  # no slot left to reduce
-        return t
-    return np.matmul(*_chain_operands(t, mono, g))[:, :, 0]
-
-
-def _edge_quad(
-    chain: Mapping[NodeId, np.ndarray], mono: Mapping[NodeId, np.ndarray],
-    tail: NodeId, head: NodeId, out: np.ndarray,
-) -> np.ndarray:
-    """``out`` (4, rows): ``h00, h01, h10, h11`` of the edge's local quadratic.
-
-    The edge's slots are the top bits of its endpoints' chains.  Other
-    nodes' factors are omitted: a positive constant for soft models, it
-    leaves the stationary pair be.
-    """
-    if tail == head:  # bits (+, -), + on top: already in out's order
-        np.copyto(out, _chain_sums(chain[tail], mono[tail], 2).T)
-    else:
-        a = _chain_sums(chain[tail], mono[tail], 1).T
-        b = _chain_sums(chain[head], mono[head], 1).T
-        np.multiply(a[:, None], b, out=out.reshape(2, 2, -1))
-    return out
-
-
 # -- solver ----------------------------------------------------------------
 
 
@@ -481,7 +448,9 @@ class _Plan:
     def _steps(self) -> tuple:
         lay, x, sums = self.lay, self.x, self.sums
         rows = x.shape[1]
-        chain, mono = lay.start(self.mono)
+        # each node's chain starts as its table; its (rows, 2**k) weight vector
+        chain = {a: lay.tables[k][i] for a, (k, i) in lay.place.items()}
+        mono = {a: self.mono[k][i] for a, (k, i) in lay.place.items()}
         # a sweep's folds reuse the weighted-table buffer, free until the
         # residual pass: each fold halves the chain, so all of them fit
         spare = {a: self.weighted[k][i].reshape(-1) for a, (k, i) in lay.place.items()}
@@ -649,7 +618,7 @@ def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
     darts = sorted(m.graph.directed_edges(), key=str)
     lay = _Layout.of(m, sorted(m.graph.edges))
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = np.log(cfg.init_range[0]), np.log(cfg.init_range[1])
+    lo, hi = np.log(_INIT_RANGE[0]), np.log(_INIT_RANGE[1])
     # one draw per restart and dart, restart-major: the same stream and
     # order as drawing each restart's gauge in turn; then one column per
     # restart, its rows in the layout's order
@@ -739,10 +708,6 @@ def marginals_from_gauge(m: MultiGM, x: GaugeVector) -> Beliefs:
         node_beliefs[a] = w / w.sum()
     marginals = {e: edge_belief(x, e) for e in m.graph.edges}
     return Beliefs(node_beliefs=node_beliefs, edge_marginals=marginals)
-
-
-def _xlogx(v: np.ndarray | float) -> np.ndarray | float:
-    return np.where(np.asarray(v) > 0, np.asarray(v) * np.log(np.maximum(v, 1e-300)), 0.0)
 
 
 def check_polytope(m: MultiGM, bel: Beliefs, tol: float = 1e-9) -> None:
@@ -849,11 +814,14 @@ def saddle_check(
     """
     if edge not in m.graph.endpoints:
         raise GraphError(f"unknown edge {edge!r}")
-    # the sweep's first chain step on one row, the edge's slots on top
-    lay, col = _Layout.for_gauge(m, x_bp, first=edge)
-    chain, weights = lay.start(lay.weight_vectors(col))
-    quad = _edge_quad(chain, weights, *m.graph.endpoints[edge], np.empty((4, 1)))
-    h00, h01, h10, h11 = quad[:, 0].tolist()
+    # the chain sums of a one-row sweep's first step, the edge's slots on top;
+    # other nodes' factors are omitted, a positive constant on soft models
+    plan = _Plan(*_Layout.for_gauge(m, x_bp, first=edge))
+    for t, w, out in plan.steps[0][0]:
+        np.matmul(t, w, out=out)
+    tail, head = m.graph.endpoints[edge]
+    s = plan.sums[0]  # h[bit_p, bit_q] on a self-edge, (a, b) on a normal one
+    h00, h01, h10, h11 = (s if tail == head else np.outer(s[0], s[1])).ravel().tolist()
     c = QuadCoeffs(h00, h10, h01, h11)
     xp0 = x_bp[DirectedEdge(edge, True)]
     xq0 = x_bp[DirectedEdge(edge, False)]
@@ -963,153 +931,3 @@ def bp_normal_contract(h: FactoredGaugePoly, edge: EdgeId) -> FactoredGaugePoly:
             "is not polynomial"
         )
     return exact_contract_poly(h, edge)
-
-
-# -- independent direct Bethe minimizer --------------------------------------
-
-
-def _bit_matrix(k: int) -> np.ndarray:
-    return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-
-
-def _node_inner_min(
-    f: FactorTable,
-    beta: np.ndarray,
-    theta0: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 80,
-) -> tuple[float, np.ndarray]:
-    """Minimize ``log h_a(x_a) - sum_d beta_d log x_d`` over positive ``x_a``.
-
-    Convex in ``theta = log x``; Newton steps, since the gradient is the
-    node's bit-marginal vector minus ``beta`` and the Hessian its bit
-    covariance under the tilted distribution.
-    """
-    k = len(f.variables)
-    if k == 0:
-        return math.log(float(f.table[0])), np.zeros(0)
-    bits = _bit_matrix(k)
-    log_table = np.log(f.table)
-
-    def split(theta):
-        logw = log_table + bits @ theta
-        top = logw.max()
-        w = np.exp(logw - top)
-        total = w.sum()
-        value = top + math.log(total) - float(beta @ theta)
-        return value, w / total
-
-    theta = theta0.copy() if theta0 is not None else np.zeros(k)
-    value, p = split(theta)
-    eye = np.eye(k)
-    lam = 1e-9
-    for _ in range(max_iter):
-        mu = bits.T @ p
-        grad = mu - beta
-        if np.abs(grad).max() <= tol:
-            break
-        cov = bits.T @ (p[:, None] * bits) - np.outer(mu, mu)
-        # adaptively damped Newton: large damping degrades to small
-        # gradient steps, which always descend on this convex objective
-        accepted = False
-        while lam < 1e18:
-            step = np.linalg.solve(cov + lam * eye, grad)
-            cand_value, cand_p = split(theta - step)
-            if cand_value < value:
-                theta, value, p = theta - step, cand_value, cand_p
-                lam = max(lam * 0.25, 1e-12)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            break
-    return value, theta
-
-
-def minimize_bethe_direct(
-    m: MultiGM,
-    delta: float = 1e-6,
-    grid: int = 13,
-    sweeps: int = 12,
-    restarts: int = 2,
-    seed: int = 0,
-) -> float:
-    """Variational estimate by direct coordinate ascent on edge marginals.
-
-    Cross-validation oracle for :func:`solve_bp`: maximizes the max-min
-    Lagrangian over ``beta in [delta, 1-delta]`` per edge, with the inner
-    gauge minimization solved per node (it separates across nodes).
-    Intended for small models; per coordinate, a grid scan brackets the
-    optimum and golden-section refines it.
-    """
-    if not m.is_soft:
-        m = soften(m, 1e-12)
-    edges = sorted(m.graph.edges)
-    nodes = list(m.graph.nodes)
-    rng = np.random.default_rng(seed)
-    # per node: (beta key, inner value, inner argmin) for reuse when a
-    # coordinate move leaves the node's marginals untouched
-    cache: dict[NodeId, tuple[tuple[float, ...], float, np.ndarray]] = {}
-
-    def objective(beta: dict[EdgeId, float]) -> float:
-        total = 0.0
-        for e in edges:
-            total += float(_xlogx(beta[e]) + _xlogx(1.0 - beta[e]))
-        for a in nodes:
-            f = m.factors[a]
-            key = tuple(beta[d.edge] for d in f.variables)
-            hit = cache.get(a)
-            if hit is not None and hit[0] == key:
-                total += hit[1]
-                continue
-            theta0 = hit[2] if hit is not None else None
-            value, theta = _node_inner_min(f, np.array(key), theta0)
-            cache[a] = (key, value, theta)
-            total += value
-        return total
-
-    def line_max(beta: dict[EdgeId, float], e: EdgeId) -> float:
-        points = np.linspace(delta, 1.0 - delta, grid)
-        scores = []
-        for p in points:
-            beta[e] = float(p)
-            scores.append(objective(beta))
-        k = int(np.argmax(scores))
-        a = float(points[max(0, k - 1)])
-        b = float(points[min(grid - 1, k + 1)])
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        beta[e] = c
-        fc = objective(beta)
-        beta[e] = d
-        fd = objective(beta)
-        for _ in range(32):
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - phi * (b - a)
-                beta[e] = c
-                fc = objective(beta)
-            else:
-                a, c, fc = c, d, fd
-                d = a + phi * (b - a)
-                beta[e] = d
-                fd = objective(beta)
-        beta[e] = float((a + b) / 2)
-        return objective(beta)
-
-    best = -math.inf
-    for r in range(max(1, restarts)):
-        if r == 0:
-            beta = {e: 0.5 for e in edges}
-        else:
-            beta = {e: float(rng.uniform(0.2, 0.8)) for e in edges}
-        cache.clear()
-        current = objective(beta)
-        for _ in range(sweeps):
-            previous = current
-            for e in edges:
-                current = line_max(beta, e)
-            if abs(current - previous) < 1e-9:
-                break
-        best = max(best, current)
-    return math.exp(best)

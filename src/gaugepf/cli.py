@@ -4,9 +4,10 @@ Commands print one JSON report to stdout (optionally copied to a file).
 Reports carry no timestamps and use sorted keys, so a fixed seed and flags
 reproduce them byte for byte.  Exit codes: 0 success or informative,
 1 invariant failure, 2 solver non-convergence, 3 input error (a bad model
-file, an invalid solver flag, or a model too large for ``verify``'s
-symbolic check), 4 a non-finite value in the report (then no report is
-printed).
+file, a missing command, a flag value that does not parse or is out of
+range, or a model too large for ``verify``'s symbolic check), 4 a
+non-finite value in the report (then no report is printed).  A ratio to a
+brute-force ``Z`` of 0 is reported as ``null``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -50,6 +51,18 @@ class ModelFileError(ModelError):
 
 class NonFiniteReportError(ValueError):
     """A report holds an infinite or NaN value, which JSON cannot carry."""
+
+
+class UsageError(ValueError):
+    """The command line does not parse: a missing command, a bad flag value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` instead of exiting with argparse's 2,
+    which is the non-convergence code here."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(f"{self.prog}: {message}")
 
 
 # -- model file format -------------------------------------------------------
@@ -259,7 +272,7 @@ def cmd_bp(m: MultiGM, args: argparse.Namespace) -> int:
     if len(m.graph.edges) <= args.guard:
         z = partition_exact(m, guard=args.guard)
         results["Z"] = z
-        results["ratio"] = g.value / z if z > 0 else math.inf
+        results["ratio"] = g.value / z if z > 0 else None
         results["exact"] = bool(z > 0 and abs(g.value - z) <= 1e-6 * z)
     report = {
         "command": "bp",
@@ -367,7 +380,7 @@ def cmd_loops(m: MultiGM, args: argparse.Namespace) -> int:
         "terms": sorted(terms, key=lambda t: -abs(t["term"])),
         "sum": total,
         "Z": z,
-        "relative_error": abs(total - z) / z if z > 0 else math.inf,
+        "relative_error": abs(total - z) / z if z > 0 else None,
     }
     _emit(report, args.json)
     return EXIT_OK
@@ -533,7 +546,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gaugepf",
         description="Partition functions of binary multi-graph models: exact, "
         "BP, contraction sequences, and the loop series.",
@@ -565,8 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify":
             return cmd_verify(args)
         m = load_model(args.model)
@@ -579,7 +592,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "loops":
             return cmd_loops(m, args)
         raise AssertionError(args.command)
-    except (ModelError, GraphError, bp_mod.ConfigError, poly_mod.PolyError) as exc:
+    except (
+        UsageError, ModelError, GraphError, bp_mod.ConfigError, poly_mod.PolyError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NonFiniteReportError as exc:

@@ -127,9 +127,6 @@ class MultiGM:
     def is_soft(self) -> bool:
         return all(f.is_soft for f in self.factors.values())
 
-    def n_edges(self) -> int:
-        return len(self.graph.edges)
-
 
 def _check_config(m: MultiGM, config: Sequence[int]) -> None:
     if len(config) != len(m.graph.edges):

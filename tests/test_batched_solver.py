@@ -84,7 +84,7 @@ def reference_restarts(m, cfg):
     darts = sorted(m.graph.directed_edges(), key=str)
     edges = sorted(m.graph.edges)
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = np.log(cfg.init_range[0]), np.log(cfg.init_range[1])
+    lo, hi = np.log(bp_mod._INIT_RANGE[0]), np.log(bp_mod._INIT_RANGE[1])
     out = []
     for _ in range(cfg.restarts):
         x = {d: float(np.exp(rng.uniform(lo, hi))) for d in darts}

@@ -42,7 +42,7 @@ from gaugepf.families import (
 )
 from gaugepf.gauge import h_node
 from gaugepf.multigraph import DirectedEdge as D
-from gaugepf.poly import QuadCoeffs
+from gaugepf.poly import QuadCoeffs, quad_coeffs
 
 from conftest import make_model
 
@@ -96,8 +96,7 @@ class TestResidual:
     [
         {"damping": -0.1}, {"damping": 1.0}, {"tolerance": 0.0},
         {"tolerance": math.inf}, {"max_sweeps": 0}, {"restarts": 0},
-        {"soften_eps": 0.0}, {"init_range": (0.0, 1.0)}, {"init_range": (2.0, 1.0)},
-        {"init_range": (1.0, math.inf)},
+        {"soften_eps": 0.0},
     ],
 )
 def test_solver_config_rejects(field):
@@ -424,6 +423,33 @@ class TestSaddle:
                 # diagonal entries vanish at a stationary pair
                 assert abs(rep.hessian[0, 0]) <= 1e-4 * abs(rep.mixed)
                 assert abs(rep.hessian[1, 1]) <= 1e-4 * abs(rep.mixed)
+
+    def test_mixed_term_matches_symbolic_quadratic(self):
+        # on every edge of converged random soft models, the cross term is
+        # (h11 - value)/(1 + x_p x_q), with h the edge's quadratic from the
+        # polynomial layer and the other nodes' factors divided out
+        rng = np.random.default_rng(808)
+        self_edges = parallel = 0
+        for _ in range(15):
+            m = random_soft_model(rng, int(rng.integers(2, 7)))
+            g = solve_bp(m, SolverConfig(restarts=4, seed=int(rng.integers(1 << 31))))
+            assert g.converged
+            poly = build(m)
+            ends = [tuple(sorted(m.graph.endpoints[e])) for e in m.graph.edges]
+            normal = [(t, h) for t, h in ends if t != h]
+            self_edges += len(ends) - len(normal)
+            parallel += len(normal) - len(set(normal))
+            for e in m.graph.edges:
+                own = {poly.factor_of(D(e, True)), poly.factor_of(D(e, False))}
+                rest = math.prod(
+                    p.evaluate(g.x) for j, p in enumerate(poly.factors) if j not in own
+                )
+                c = quad_coeffs(poly, e, g.x)
+                c = QuadCoeffs(c.h00 / rest, c.h10 / rest, c.h01 / rest, c.h11 / rest)
+                xpq = g.x[D(e, True)] * g.x[D(e, False)]
+                expected = (c.h11 - bp_value(c)) / (1 + xpq)
+                assert saddle_check(m, g.x, e).mixed == pytest.approx(expected, rel=1e-4)
+        assert self_edges and parallel
 
 
 class TestContractSequence:

@@ -41,6 +41,15 @@ def self_edge_file(tmp_path, self_edge_model):
     return str(path)
 
 
+@pytest.fixture
+def zero_file(tmp_path):
+    """One edge whose tables (1, 0) and (0, 1) never agree: Z = 0."""
+    m = make_model(["a", "b"], [("e", "a", "b")], {"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    path = tmp_path / "zero.json"
+    path.write_text(serialize_model(m))
+    return str(path)
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -212,15 +221,14 @@ class TestCmdBP:
         assert captured.err == "error: non-finite value in the report at results.Z_vbp\n"
         assert not copy.exists()
 
-    def test_infinite_ratio_exits_four(self, capsys, tmp_path):
-        m = make_model(["a", "b"], [("e", "a", "b")], {"a": [1.0, 0.0], "b": [0.0, 1.0]})
-        path = tmp_path / "zero.json"
-        path.write_text(serialize_model(m))
-        code = main(["bp", str(path), "--restarts", "2"])
-        captured = capsys.readouterr()
-        assert code == EXIT_NONFINITE
-        assert captured.out == ""
-        assert captured.err == "error: non-finite value in the report at results.ratio\n"
+    def test_zero_partition_reports_null_ratio(self, capsys, zero_file):
+        code, report, _ = run(capsys, ["bp", zero_file, "--restarts", "2"])
+        assert code == EXIT_OK
+        r = report["results"]
+        assert r["Z"] == 0.0
+        assert r["ratio"] is None
+        assert r["exact"] is False
+        assert math.isfinite(r["Z_vbp"])
 
     def test_nonconvergence_exit_two(self, capsys, two_node_file):
         code, report, _ = run(
@@ -257,6 +265,37 @@ def test_invalid_solver_flag_exit_three(capsys, two_node_file, flags):
     assert code == EXIT_INPUT
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bp", "x.json", "--restarts", "abc"],
+        ["bp", "x.json", "--tol", "-1e-05"],
+        [],
+        ["bogus", "x.json"],
+    ],
+)
+def test_unparsable_command_line_exit_three(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("error: gaugepf")
+
+
+def test_unparsable_value_names_the_flag(capsys):
+    assert main(["bp", "x.json", "--restarts", "abc"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: gaugepf bp: argument --restarts: invalid int value: 'abc'\n"
+    )
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: gaugepf" in capsys.readouterr().out
 
 
 class TestCmdContract:
@@ -316,6 +355,14 @@ class TestCmdLoops:
         terms = r["terms"]
         assert abs(terms[0]["term"]) >= abs(terms[1]["term"])
         assert r["sum"] == pytest.approx(5.0, rel=1e-8)
+
+    def test_zero_partition_reports_null_error(self, capsys, zero_file):
+        code, report, _ = run(capsys, ["loops", zero_file, "--restarts", "2"])
+        assert code == EXIT_OK
+        r = report["results"]
+        assert r["Z"] == 0.0
+        assert r["relative_error"] is None
+        assert math.isfinite(r["sum"])
 
     def test_nonconvergence_exit_two(self, capsys, self_edge_file):
         code, _, _ = run(

@@ -223,6 +223,12 @@ def test_row_retiring_mid_solve(monkeypatch):
 # -- the chain step on its own ---------------------------------------------------
 
 
+def _chain_sums(t, mono, g):
+    """``(R, 2**g)``: chain ``t`` per pattern of its top ``g`` bits, through
+    the operands an edge step multiplies."""
+    return np.matmul(*bp_mod._chain_operands(t, mono, g))[:, :, 0]
+
+
 @given(
     k=st.integers(2, 10),
     rows=st.integers(1, 4),
@@ -249,25 +255,25 @@ def test_chain_sums_match_brute_force(k, rows, seed, data):
     order = others + [j, i]
     top = table.reshape((2,) * k, order="F").transpose(order).reshape(-1, order="F")
     mono = monomials(w1[:, others])
-    pair = bp_mod._chain_sums(top, mono, 2)
+    pair = _chain_sums(top, mono, 2)
     np.testing.assert_allclose(pair.reshape(-1, 2, 2), brute, rtol=1e-12)
     # slot i alone on top, slot j weighted among the low bits
-    single = bp_mod._chain_sums(top, monomials(w1[:, others + [j]]), 1)
+    single = _chain_sums(top, monomials(w1[:, others + [j]]), 1)
     wj = w1[:, j, None]
     np.testing.assert_allclose(single, brute[:, :, 0] + wj * brute[:, :, 1], rtol=1e-12)
     # slot i folded away under its weight, as a sweep step folds it: slot j
     # is the chain's top bit
     halves = top.reshape(2, -1)
     folded = halves[0] + w1[:, i, None] * halves[1]
-    after = bp_mod._chain_sums(folded, mono, 1)
+    after = _chain_sums(folded, mono, 1)
     wi = w1[:, i, None]
     np.testing.assert_allclose(after, brute[:, 0] + wi * brute[:, 1], rtol=1e-12)
 
     for r in range(rows):
         one = monomials(w1[r : r + 1, others])
-        np.testing.assert_array_equal(bp_mod._chain_sums(top, one, 2)[0], pair[r])
+        np.testing.assert_array_equal(_chain_sums(top, one, 2)[0], pair[r])
         np.testing.assert_array_equal(
-            bp_mod._chain_sums(folded[r : r + 1], one, 1)[0], after[r]
+            _chain_sums(folded[r : r + 1], one, 1)[0], after[r]
         )
 
 
