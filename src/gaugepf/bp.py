@@ -448,7 +448,7 @@ class _Plan:
     def _steps(self) -> tuple:
         lay, x, sums = self.lay, self.x, self.sums
         rows = x.shape[1]
-        # each node's chain starts as its table; its (rows, 2**k) weight vector
+        # per node: its chain, which starts as its table, and its weight vector
         chain = {a: lay.tables[k][i] for a, (k, i) in lay.place.items()}
         mono = {a: self.mono[k][i] for a, (k, i) in lay.place.items()}
         # a sweep's folds reuse the weighted-table buffer, free until the
