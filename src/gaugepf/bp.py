@@ -44,14 +44,17 @@ node; the restarts are split into batches that keep it bounded on large
 tables.  The single-gauge entry points are the same code on one column:
 :func:`residual_norm` and :func:`bp_residual` run the residual pass, and
 :func:`saddle_check` reads an edge's quadratic from the first step of a
-one-column sweep plan.  The direct Bethe minimizer that cross-checks the
-solver lives apart from it, in :mod:`gaugepf.bethe`.
+one-column sweep plan.  :func:`bp_contract_sequence` solves its first stage
+with restarts and each later one with a single restart started from the
+previous stage's gauge, falling back to restarts when that one does not
+converge or its value drops.  The direct Bethe minimizer that cross-checks
+the solver lives apart from it, in :mod:`gaugepf.bethe`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -613,6 +616,19 @@ def _lockstep(
              bool(converged[i]), int(clamped[i])) for i in range(n)]
 
 
+def _gauges(
+    lay: _Layout, darts: Sequence[DirectedEdge], x0: np.ndarray, cfg: SolverConfig
+) -> list[BPGauge]:
+    """:func:`_lockstep` from the columns of ``x0``, each result as a
+    :class:`BPGauge` whose gauge lists ``darts`` in that order."""
+    back = [lay.col[d] for d in darts]
+    return [
+        BPGauge(x=dict(zip(darts, col[back].tolist())), residual=res, value=value,
+                sweeps=sweeps, converged=converged, clamped=clamped)
+        for col, res, value, sweeps, converged, clamped in _lockstep(lay, x0, cfg)
+    ]
+
+
 def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
     """Every restart's own result, in restart order, on a soft model with edges."""
     darts = sorted(m.graph.directed_edges(), key=str)
@@ -625,19 +641,22 @@ def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
     x0 = np.exp(rng.uniform(lo, hi, size=(cfg.restarts, len(darts))))
     index = {d: j for j, d in enumerate(darts)}
     x0 = x0[:, [index[d] for d in lay.darts]].T
-    back = [lay.col[d] for d in darts]
     k = max(len(f.variables) for f in m.factors.values())
     batch = max(1, _BATCH_ENTRIES >> k)
     out = []
     for start in range(0, cfg.restarts, batch):
-        for col, res, value, sweeps, converged, clamped in _lockstep(
-            lay, x0[:, start : start + batch], cfg
-        ):
-            out.append(BPGauge(
-                x=dict(zip(darts, col[back].tolist())), residual=res, value=value,
-                sweeps=sweeps, converged=converged, clamped=clamped,
-            ))
+        out += _gauges(lay, darts, x0[:, start : start + batch], cfg)
     return out
+
+
+def _warm_solve(m: MultiGM, start: GaugeVector, cfg: SolverConfig) -> BPGauge:
+    """One restart on a soft model with edges, from ``start``'s values on
+    its darts; a converged result's stationary values are its own value."""
+    darts = sorted(m.graph.directed_edges(), key=str)
+    lay = _Layout.of(m, sorted(m.graph.edges))
+    x0 = np.array([start[d] for d in lay.darts], dtype=float).reshape(-1, 1)
+    (g,) = _gauges(lay, darts, x0, cfg)
+    return replace(g, stationary_values=(g.value,) if g.converged else ())
 
 
 def _tied(a: float, b: float) -> bool:
@@ -866,6 +885,12 @@ class ContractionStage:
     converged: bool
     gauge: BPGauge = field(repr=False)
     model: MultiGM = field(repr=False)
+    warm: bool  # solved by one restart from the previous stage's gauge
+
+
+# relative slack of a stage value below the previous one before it counts as
+# a decrease, in :func:`sequence_decreases` and for a warm stage's fallback
+_SLACK = 1e-9
 
 
 def bp_contract_sequence(
@@ -873,10 +898,19 @@ def bp_contract_sequence(
 ) -> list[ContractionStage]:
     """Re-solve BP after each exact contraction along ``order``.
 
-    The model is softened once up front if needed; every stage solves from
-    scratch for reproducibility.  The final stage has no edges left, so its
-    value is the exact partition function.  Decreases along the sequence
-    are reported by :func:`sequence_decreases`, not raised.
+    The model is softened once up front if needed.  Stage 0 is solved by
+    :func:`solve_bp`.  Every later stage that still has edges is solved
+    warm: one restart started from the previous stage's gauge on the darts
+    that survive the contraction, which keep their ids.  That start is
+    deterministic, so the sequence stays reproducible, and the warm stage's
+    ``stationary_values`` holds its one value.  A stage falls back to
+    :func:`solve_bp`, the random restarts of ``cfg``, when the warm restart
+    does not converge or its value lies below the previous stage's by more
+    than :func:`sequence_decreases`' default slack; on bi-stable families
+    such a drop points to the wrong stationary point.  The final stage has
+    no edges left, so its value is the exact partition function.  Decreases
+    along the sequence are reported by :func:`sequence_decreases`, not
+    raised.
 
     Every stage model is re-clamped to the ``soften_eps`` relative floor:
     a no-op for generic soft tables, but it stops near-hard entries from
@@ -890,7 +924,13 @@ def bp_contract_sequence(
     current = m
     for i in range(len(order) + 1):
         current = soften(current, cfg.soften_eps)
-        g = solve_bp(current, cfg)
+        warm = False
+        if stages and current.graph.edges:
+            prev = stages[-1].gauge
+            g = _warm_solve(current, prev.x, cfg)
+            warm = g.converged and g.value >= prev.value * (1.0 - _SLACK)
+        if not warm:
+            g = solve_bp(current, cfg)
         stages.append(
             ContractionStage(
                 index=i,
@@ -900,6 +940,7 @@ def bp_contract_sequence(
                 converged=g.converged,
                 gauge=g,
                 model=current,
+                warm=warm,
             )
         )
         if i < len(order):
@@ -908,7 +949,7 @@ def bp_contract_sequence(
 
 
 def sequence_decreases(
-    stages: Sequence[ContractionStage], rel_slack: float = 1e-9
+    stages: Sequence[ContractionStage], rel_slack: float = _SLACK
 ) -> list[tuple[int, float, float]]:
     """Adjacent decreases beyond the slack: ``(index, z_before, z_after)``."""
     out = []

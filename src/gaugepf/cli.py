@@ -325,6 +325,8 @@ def cmd_contract(m: MultiGM, args: argparse.Namespace) -> int:
                     "edges_left": s.n_edges,
                     "Z_vbp": s.z_vbp,
                     "converged": s.converged,
+                    "start": "warm" if s.warm else "cold",
+                    "sweeps": s.gauge.sweeps,
                 }
                 for s in stages
             ],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -483,6 +484,65 @@ class TestContractSequence:
 
         with pytest.raises(GraphError):
             bp_contract_sequence(two_node_model, ["e1", "e1"], FAST)
+
+    @staticmethod
+    def _convex_models():
+        rng = np.random.default_rng(12)
+        models = []
+        for n in (3, 4):
+            w = np.exp(rng.uniform(np.log(0.5), np.log(2.0), (n, n)))
+            models.append(matching_model(n, n, weights=w))
+        models.append(permanent_model(np.ones((3, 3))))
+        return models
+
+    def test_warm_stages_match_cold_solves(self):
+        # matching and permanent models have one BP fixed point, so the warm
+        # start must land on the value the random restarts find
+        for m in self._convex_models():
+            stages = bp_contract_sequence(m, m.graph.normal_first_order(), FAST)
+            assert not stages[0].warm and not stages[-1].warm
+            for s in stages[1:]:
+                if not s.n_edges:
+                    continue
+                assert s.warm and s.converged
+                assert s.gauge.stationary_values == (s.z_vbp,)
+                cold = solve_bp(s.model, FAST)
+                assert s.z_vbp == pytest.approx(cold.value, rel=1e-12)
+
+    @staticmethod
+    def _assert_cold_fallbacks(stages):
+        assert not any(s.warm for s in stages)
+        for s in stages:
+            assert s.gauge == solve_bp(s.model, FAST)
+
+    def test_unconverged_warm_restart_falls_back(self, monkeypatch):
+        warm_solve = bp_mod._warm_solve
+        monkeypatch.setattr(
+            bp_mod, "_warm_solve",
+            lambda *a: dataclasses.replace(warm_solve(*a), converged=False),
+        )
+        m = self._convex_models()[0]
+        self._assert_cold_fallbacks(
+            bp_contract_sequence(m, m.graph.normal_first_order(), FAST)
+        )
+
+    def test_decreasing_warm_value_falls_back(self, monkeypatch):
+        warm_solve = bp_mod._warm_solve
+        offered = []
+
+        def dropped(*args):
+            g = warm_solve(*args)
+            offered.append(0.5 * g.value)
+            return dataclasses.replace(g, value=offered[-1])
+
+        monkeypatch.setattr(bp_mod, "_warm_solve", dropped)
+        m = self._convex_models()[0]
+        stages = bp_contract_sequence(m, m.graph.normal_first_order(), FAST)
+        # stage i + 1's warm value was offered after stage i was solved
+        assert len(offered) == len(stages) - 2
+        for s, value in zip(stages, offered):
+            assert value < s.z_vbp * (1.0 - 1e-9)
+        self._assert_cold_fallbacks(stages)
 
 
 class TestBPNormalContract:

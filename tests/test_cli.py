@@ -22,7 +22,7 @@ from gaugepf.cli import (
     parse_model,
     serialize_model,
 )
-from gaugepf.families import random_soft_model
+from gaugepf.families import matching_model, random_soft_model
 
 from conftest import make_model
 
@@ -328,6 +328,21 @@ class TestCmdContract:
     def test_invalid_order_member(self, capsys, two_node_file):
         code, _, _ = run(capsys, ["contract", two_node_file, "--order", "zz"])
         assert code == EXIT_INPUT
+
+    def test_bp_sequence_reports_start_and_sweeps(self, capsys, tmp_path):
+        path = tmp_path / "k23.json"
+        path.write_text(serialize_model(matching_model(2, 3)))
+        code, report, _ = run(
+            capsys, ["contract", str(path), "--mode", "bp-sequence", "--restarts", "2"]
+        )
+        assert code == EXIT_OK
+        stages = report["results"]["stages"]
+        # stage 0 and the edgeless last stage are solved cold, the rest warm
+        assert [s["start"] for s in stages] == (
+            ["cold"] + ["warm"] * (len(stages) - 2) + ["cold"]
+        )
+        assert all(s["sweeps"] > 0 for s in stages[:-1])
+        assert stages[-1]["sweeps"] == 0
 
     def test_id_order(self, capsys, tmp_path, triangle_model):
         path = tmp_path / "tri.json"
