@@ -47,8 +47,11 @@ tables.  The single-gauge entry points are the same code on one column:
 one-column sweep plan.  :func:`bp_contract_sequence` solves its first stage
 with restarts and each later one with a single restart started from the
 previous stage's gauge, falling back to restarts when that one does not
-converge or its value drops.  The direct Bethe minimizer that cross-checks
-the solver lives apart from it, in :mod:`gaugepf.bethe`.
+converge or its value drops.  That warm restart takes full, undamped steps,
+capped at the sweeps stage 0's chosen restart took: it starts next to its
+fixed point, and damping only slows it there.  Damping applies to the
+random restarts only.  The direct Bethe minimizer that cross-checks the
+solver lives apart from it, in :mod:`gaugepf.bethe`.
 """
 
 from __future__ import annotations
@@ -99,7 +102,9 @@ class SolverConfig:
     """Knobs for :func:`solve_bp`.
 
     ``damping`` is the weight kept on the old value at each edge update
-    (0 means full steps).  Initial gauges are drawn log-uniformly from
+    (0 means full steps).  It applies to the random restarts only: the warm
+    stages of :func:`bp_contract_sequence` take full steps, capped at stage
+    0's sweeps.  Initial gauges are drawn log-uniformly from
     ``_INIT_RANGE`` per restart.
     """
 
@@ -651,7 +656,12 @@ def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
 
 def _warm_solve(m: MultiGM, start: GaugeVector, cfg: SolverConfig) -> BPGauge:
     """One restart on a soft model with edges, from ``start``'s values on
-    its darts; a converged result's stationary values are its own value."""
+    its darts; a converged result's stationary values are its own value.
+
+    :func:`bp_contract_sequence` passes a ``cfg`` with ``damping=0`` and
+    ``max_sweeps`` capped at stage 0's sweeps, so a warm stage takes full
+    steps and gives up after no more sweeps than stage 0's cold solve took.
+    """
     darts = sorted(m.graph.directed_edges(), key=str)
     lay = _Layout.of(m, sorted(m.graph.edges))
     x0 = np.array([start[d] for d in lay.darts], dtype=float).reshape(-1, 1)
@@ -903,14 +913,18 @@ def bp_contract_sequence(
     warm: one restart started from the previous stage's gauge on the darts
     that survive the contraction, which keep their ids.  That start is
     deterministic, so the sequence stays reproducible, and the warm stage's
-    ``stationary_values`` holds its one value.  A stage falls back to
+    ``stationary_values`` holds its one value.  The warm restart is the
+    corrector step of a continuation: it starts next to its fixed point, so
+    it takes full steps (``damping=0``) and gets no more sweeps than stage
+    0's chosen restart took, nor than ``cfg.max_sweeps``; ``cfg.damping``
+    applies to stage 0 and the fallbacks only.  A stage falls back to
     :func:`solve_bp`, the random restarts of ``cfg``, when the warm restart
-    does not converge or its value lies below the previous stage's by more
-    than :func:`sequence_decreases`' default slack; on bi-stable families
-    such a drop points to the wrong stationary point.  The final stage has
-    no edges left, so its value is the exact partition function.  Decreases
-    along the sequence are reported by :func:`sequence_decreases`, not
-    raised.
+    does not converge within those sweeps or its value lies below the
+    previous stage's by more than :func:`sequence_decreases`' default slack;
+    on bi-stable families such a drop points to the wrong stationary point.
+    The final stage has no edges left, so its value is the exact partition
+    function.  Decreases along the sequence are reported by
+    :func:`sequence_decreases`, not raised.
 
     Every stage model is re-clamped to the ``soften_eps`` relative floor:
     a no-op for generic soft tables, but it stops near-hard entries from
@@ -927,7 +941,8 @@ def bp_contract_sequence(
         warm = False
         if stages and current.graph.edges:
             prev = stages[-1].gauge
-            g = _warm_solve(current, prev.x, cfg)
+            cap = min(cfg.max_sweeps, stages[0].gauge.sweeps)
+            g = _warm_solve(current, prev.x, replace(cfg, damping=0.0, max_sweeps=cap))
             warm = g.converged and g.value >= prev.value * (1.0 - _SLACK)
         if not warm:
             g = solve_bp(current, cfg)

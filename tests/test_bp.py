@@ -509,6 +509,42 @@ class TestContractSequence:
                 cold = solve_bp(s.model, FAST)
                 assert s.z_vbp == pytest.approx(cold.value, rel=1e-12)
 
+    def test_warm_stages_sweep_at_most_stage_zero(self):
+        for m in self._convex_models():
+            stages = bp_contract_sequence(m, m.graph.normal_first_order(), FAST)
+            warm = [s for s in stages if s.warm]
+            assert warm
+            assert all(s.gauge.sweeps <= stages[0].gauge.sweeps for s in warm)
+
+    def test_warm_try_capped_at_stage_zero_sweeps(self, monkeypatch):
+        # the 2-edge stage of the 4x4 all-ones permanent does not converge,
+        # so its warm try runs to the cap and the stage falls back
+        warm_solve = bp_mod._warm_solve
+        tried = {}
+
+        def recorded(m, *args):
+            tried[len(m.graph.edges)] = g = warm_solve(m, *args)
+            return g
+
+        monkeypatch.setattr(bp_mod, "_warm_solve", recorded)
+        m = permanent_model(np.ones((4, 4)))
+        stages = bp_contract_sequence(
+            m, m.graph.normal_first_order(), dataclasses.replace(FAST, max_sweeps=400)
+        )
+        assert not tried[2].converged
+        assert tried[2].sweeps == min(400, stages[0].gauge.sweeps)
+        (stage,) = [s for s in stages if s.n_edges == 2]
+        assert not stage.warm
+
+    def test_sequence_leaves_cold_solves_unchanged(self):
+        # warm stages take full steps; the damped random restarts of a later
+        # solve_bp must not see any of it
+        m = random_soft_model(np.random.default_rng(3), 10, n_nodes=7)
+        before = solve_bp(m, FAST)
+        for seq in self._convex_models():
+            bp_contract_sequence(seq, seq.graph.normal_first_order(), FAST)
+        assert solve_bp(m, FAST) == before
+
     @staticmethod
     def _assert_cold_fallbacks(stages):
         assert not any(s.warm for s in stages)
