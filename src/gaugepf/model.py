@@ -11,10 +11,12 @@ configurations and are the reference oracles for everything downstream;
 Enumeration runs over blocks of ``2**16`` consecutive configuration indices
 on a plan built once per model.  A node's table index splits into an offset
 from edge bits 16 and up, one number per block, and a part from the low 16
-edge bits that is the same in every block.  The plan keeps that part as two
-256-entry vectors, one for bits 0-7 and one for bits 8-15; per block, their
-outer sum fills one reused index buffer per node in turn, and the node's
-table, shifted by its offset, is gathered through it.
+edge bits that is the same in every block.  A block's weights are viewed as
+a grid with one length-2 axis per edge bit 8-15 (bit 15 first) and a last
+axis for edge bits 0-7.  The plan keeps each node's low part on that grid,
+with length 1 on every axis the node does not read; per block, the node's
+table, shifted by its offset, is gathered through its grid and broadcast
+into the block's weights.
 """
 
 from __future__ import annotations
@@ -157,63 +159,64 @@ def _check_guard(m: MultiGM, guard: int) -> None:
 class _BlockPlan:
     """Per-model set-up of the brute-force enumeration.
 
-    ``nodes`` holds, per node in node order, its table, the index parts
-    that edge bits 8-15 and edge bits 0-7 contribute (indexed by those
-    bits), and the ``(edge bit, slot)`` pairs of edge bits 16 and up.
-    ``index``, ``weights`` and ``gathered`` are scratch of one block's size,
-    reused by every block.
+    ``nodes`` holds, per node in node order, its table, its grid of table
+    index parts from edge bits 0-15, and the ``(edge bit, slot)`` pairs of
+    edge bits 16 and up.  A grid has one axis per edge bit 8-15 of the
+    model, highest bit first, and a last axis for edge bits 0-7; it has
+    length 1 on the axes of bits the node does not read.  ``weights`` is
+    one block's weights on the full grid shape, reused by every block.
     """
 
-    nodes: list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]]
-    index: np.ndarray
+    nodes: list[tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]]
     weights: np.ndarray
-    gathered: np.ndarray
 
 
 def _block_plan(m: MultiGM) -> _BlockPlan:
     pos = {e: j for j, e in enumerate(m.graph.edges)}
     low_bits = min(len(m.graph.edges), _BLOCK_BITS)
-    byte0 = np.arange(1 << min(low_bits, 8), dtype=np.intp)
-    byte1 = np.arange(1 << max(low_bits - 8, 0), dtype=np.intp)
+    shape = (2,) * max(low_bits - 8, 0) + (1 << min(low_bits, 8),)
+    # bits[p]: edge bit p of the block's configurations, broadcastable to shape
+    byte0 = np.arange(shape[-1], dtype=np.intp)
+    bits = [(byte0 >> p) & 1 for p in range(min(low_bits, 8))]
+    for p in range(8, low_bits):
+        axes = [1] * len(shape)
+        axes[low_bits - 1 - p] = 2
+        bits.append(np.arange(2, dtype=np.intp).reshape(axes))
     nodes = []
     for a in m.graph.nodes:
         f = m.factors[a]
-        part0 = np.zeros_like(byte0)
-        part1 = np.zeros_like(byte1)
+        grid = np.zeros((1,) * len(shape), dtype=np.intp)
         high = []
         for i, d in enumerate(f.variables):
             p = pos[d.edge]
-            if p < 8:
-                part0 |= ((byte0 >> p) & 1) << i
-            elif p < _BLOCK_BITS:
-                part1 |= ((byte1 >> (p - 8)) & 1) << i
+            if p < low_bits:
+                grid = grid | (bits[p] << i)
             else:
                 high.append((p, i))
-        nodes.append((f.table, part1, part0, tuple(high)))
-    size = 1 << low_bits
-    return _BlockPlan(
-        nodes, np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
-    )
+        nodes.append((f.table, grid, tuple(high)))
+    return _BlockPlan(nodes, np.empty(shape))
 
 
 def _block_weights(plan: _BlockPlan, lo: int) -> np.ndarray:
     """Weights of configurations ``lo, lo + 1, ...`` over one block.
 
-    Returns ``plan.weights``, overwritten by the next call.
+    Each node's table, shifted by the offset of ``lo``'s high edge bits, is
+    gathered through the node's grid and broadcast into the weights: the
+    first node's values are copied in, each later node's multiply them, in
+    node order.  Returns a flat view of ``plan.weights``, overwritten by the
+    next call.
     """
-    w, index = plan.weights, plan.index
+    w = plan.weights
     if not plan.nodes:
         w.fill(1.0)
-    for k, (table, part1, part0, high) in enumerate(plan.nodes):
+    for k, (table, grid, high) in enumerate(plan.nodes):
         offset = sum(((lo >> p) & 1) << i for p, i in high)
-        np.add(part1[:, None], part0, out=index.reshape(part1.size, part0.size))
-        # indices are in range by construction; "clip" lets take write to out
+        gathered = table[offset:][grid]
         if k == 0:
-            np.take(table[offset:], index, out=w, mode="clip")
+            np.copyto(w, gathered)
         else:
-            np.take(table[offset:], index, out=plan.gathered, mode="clip")
-            w *= plan.gathered
-    return w
+            w *= gathered
+    return w.reshape(-1)
 
 
 def _scan(m: MultiGM, guard: int) -> tuple[float, float, int]:

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaugepf.model as model_mod
 from gaugepf import (
@@ -124,6 +126,32 @@ def _tie_across_blocks():
     return make_model(nodes, edges, tables)
 
 
+def _node_with_only_byte_1():
+    # node "h" reads edges 8-11 only: length 1 on its grid's last axis
+    edges = [(f"e{j}", f"n{j % 4}", f"n{(j + 1) % 4}") for j in range(8)]
+    edges += [(f"e{j}", "h", f"n{j % 4}") for j in range(8, 12)]
+    graph = MultiGraph.build([f"n{i}" for i in range(4)] + ["h"], edges)
+    return attach_random_factors(graph, np.random.default_rng(10))
+
+
+def _self_edge_in_byte_1():
+    # e11 is a self-edge of "n2": edge bit 11 sets table slots on one axis
+    edges = [(f"e{j}", f"n{j % 5}", f"n{(j + 2) % 5}") for j in range(14)]
+    edges[11] = ("e11", "n2", "n2")
+    graph = MultiGraph.build([f"n{i}" for i in range(5)], edges)
+    return attach_random_factors(graph, np.random.default_rng(11))
+
+
+def _zero_slot_node_first():
+    # "z" has no slots and comes first, so it fills every block with 2.5
+    base = _random(20, 8, 12)
+    nodes = ["z"] + list(base.graph.nodes)
+    edges = [(e, *base.graph.endpoints[e]) for e in base.graph.edges]
+    tables = {a: base.factors[a].table for a in base.graph.nodes}
+    tables["z"] = [2.5]
+    return make_model(nodes, edges, tables)
+
+
 MODELS = {
     "E0": _isolated_nodes,
     "E1": lambda: _random(1, 2, 1),
@@ -137,6 +165,11 @@ MODELS = {
     "only_high_bits": _node_with_only_high_bits,
     "negative_entries": _negative_entries,
     "tie_across_blocks": _tie_across_blocks,
+    "E8": lambda: _random(8, 4, 8),
+    "E9": lambda: _random(9, 5, 9),
+    "only_byte_1": _node_with_only_byte_1,
+    "self_edge_byte_1": _self_edge_in_byte_1,
+    "zero_slot_node_E20": _zero_slot_node_first,
 }
 
 
@@ -147,6 +180,40 @@ def test_matches_reference_exactly(name):
     energy_ref, config_ref = _ref_map_energy(m)
     assert partition_exact(m) == z_ref
     assert map_energy_exact(m) == (energy_ref, config_ref)
+    assert exact_summary(m) == (z_ref, energy_ref, config_ref)
+
+
+@st.composite
+def small_models(draw):
+    """A model with 0-18 edges on 1-6 nodes, self-edges and parallel edges
+    included, whose tables may hold zeros."""
+    n_nodes = draw(st.integers(1, 6))
+    n_edges = draw(st.integers(0, 18))
+    node = st.integers(0, n_nodes - 1)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=n_edges, max_size=n_edges))
+    nodes = [f"n{i}" for i in range(n_nodes)]
+    edges = [(f"e{j}", nodes[t], nodes[h]) for j, (t, h) in enumerate(pairs)]
+    graph = MultiGraph.build(nodes, edges)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.floats(0.0, 0.5))
+    tables = {}
+    for a in nodes:
+        table = np.exp(rng.uniform(-30.0, 30.0, 1 << len(graph.incidence[a])))
+        table[rng.random(table.size) < zeros] = 0.0
+        tables[a] = table
+    return make_model(nodes, edges, tables)
+
+
+@given(small_models())
+@settings(max_examples=60, deadline=None)
+def test_random_models_match_reference_exactly(m):
+    z_ref = _ref_partition(m)
+    try:
+        energy_ref, config_ref = _ref_map_energy(m)
+    except ModelError:
+        with pytest.raises(ModelError):
+            exact_summary(m)
+        return
     assert exact_summary(m) == (z_ref, energy_ref, config_ref)
 
 
