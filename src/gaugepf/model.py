@@ -12,7 +12,7 @@ Enumeration runs over blocks of ``2**16`` consecutive configuration indices
 on a plan built once per model.  A node's table index splits into an offset
 from edge bits 16 and up, one number per block, and a part from the low 16
 edge bits that is the same in every block.  A block's weights are viewed as
-a grid with one length-2 axis per edge bit 8-15 (bit 15 first) and a last
+a grid with one length-2 axis per edge bit 8-15 (highest first) and a last
 axis for edge bits 0-7.  The plan keeps each node's low part on that grid,
 with length 1 on every axis the node does not read; per block, the node's
 table, shifted by its offset, is gathered through its grid and broadcast

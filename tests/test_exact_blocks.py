@@ -185,12 +185,20 @@ def test_matches_reference_exactly(name):
 
 @st.composite
 def small_models(draw):
-    """A model with 0-18 edges on 1-6 nodes, self-edges and parallel edges
-    included, whose tables may hold zeros."""
-    n_nodes = draw(st.integers(1, 6))
-    n_edges = draw(st.integers(0, 18))
-    node = st.integers(0, n_nodes - 1)
-    pairs = draw(st.lists(st.tuples(node, node), min_size=n_edges, max_size=n_edges))
+    """A model with 0-18 edges on 1-6 nodes of at most 12 slots each,
+    self-edges and parallel edges included, whose tables may hold zeros."""
+    n_edges = draw(st.sampled_from(range(19)))
+    n_nodes = draw(st.integers(max(1, -(-n_edges // 6)), 6))
+    # slots left per node; the total stays even, so a free slot always remains
+    free = [12] * n_nodes
+    pairs = []
+    for _ in range(n_edges):
+        ends = []
+        for _ in range(2):
+            a = draw(st.sampled_from([a for a in range(n_nodes) if free[a]]))
+            free[a] -= 1
+            ends.append(a)
+        pairs.append(tuple(ends))
     nodes = [f"n{i}" for i in range(n_nodes)]
     edges = [(f"e{j}", nodes[t], nodes[h]) for j, (t, h) in enumerate(pairs)]
     graph = MultiGraph.build(nodes, edges)
@@ -211,6 +219,7 @@ def test_random_models_match_reference_exactly(m):
     try:
         energy_ref, config_ref = _ref_map_energy(m)
     except ModelError:
+        assert partition_exact(m) == z_ref
         with pytest.raises(ModelError):
             exact_summary(m)
         return
