@@ -13,6 +13,7 @@ brute-force ``Z`` of 0 is reported as ``null``.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -68,8 +69,24 @@ class _Parser(argparse.ArgumentParser):
 # -- model file format -------------------------------------------------------
 
 
+def _bit_keys(k: int) -> list[str]:
+    """The ``2**k`` bitstring keys of a ``k``-slot table: key ``i`` has, at
+    character ``j``, bit ``j`` of ``i``."""
+    keys = [""]
+    for _ in range(k):
+        keys = [s + "0" for s in keys] + [s + "1" for s in keys]
+    return keys
+
+
 def parse_model(doc: Any) -> MultiGM:
-    """Parse the JSON model document into a model."""
+    """Parse the JSON model document into a model.
+
+    A table maps bitstring keys to finite non-negative numbers; key ``i`` of a
+    ``k``-slot table has, at character ``j``, bit ``j`` of ``i``.  Keys are
+    decoded through one ``key -> index`` map per slot count, built per call.
+    A bad key or value raises :class:`ModelFileError` naming the node and the
+    first offending entry in document order.
+    """
     if not isinstance(doc, dict):
         raise ModelFileError("model document must be a JSON object")
     nodes = doc.get("nodes")
@@ -91,6 +108,7 @@ def parse_model(doc: Any) -> MultiGM:
     factors_field = doc.get("factors")
     if not isinstance(factors_field, dict):
         raise ModelFileError('"factors" must map node ids to factor objects')
+    key_index: dict[int, dict[str, int]] = {}
     factors = {}
     for a in graph.nodes:
         entry = factors_field.get(a)
@@ -109,18 +127,22 @@ def parse_model(doc: Any) -> MultiGM:
         table_field = entry.get("table")
         if not isinstance(table_field, dict):
             raise ModelFileError(f"factor at node {a!r}: missing table object")
-        table = np.zeros(2**k)
+        if k not in key_index:
+            key_index[k] = {key: i for i, key in enumerate(_bit_keys(k))}
+        index = key_index[k]
+        values = [0.0] * 2**k
         for key, value in table_field.items():
-            if (
-                not isinstance(key, str)
-                or len(key) != k
-                or any(ch not in "01" for ch in key)
-            ):
+            idx = index.get(key)
+            if idx is None:
                 raise ModelFileError(
                     f"factor at node {a!r}: malformed bitstring key {key!r} "
                     f"(need length {k} over 0/1)"
                 )
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            try:
+                finite = isinstance(value, (int, float)) and math.isfinite(value)
+            except OverflowError:  # an integer beyond float range
+                finite = False
+            if not finite:
                 raise ModelFileError(
                     f"factor at node {a!r}, entry {key!r}: not a finite number"
                 )
@@ -128,19 +150,20 @@ def parse_model(doc: Any) -> MultiGM:
                 raise ModelFileError(
                     f"factor at node {a!r}, entry {key!r}: negative value"
                 )
-            idx = sum(1 << i for i, ch in enumerate(key) if ch == "1")
-            table[idx] = float(value)
+            values[idx] = float(value)
         if len(table_field) < 2**k and entry.get("soft") is not False:
             raise ModelFileError(
                 f"factor at node {a!r}: sparse table (missing keys default "
                 'to 0) requires an explicit "soft": false marker'
             )
-        factors[a] = FactorTable.from_values(a, graph.incidence[a], table)
+        factors[a] = FactorTable.from_values(a, graph.incidence[a], values)
     return MultiGM.from_tables(graph, factors)
 
 
 def model_to_doc(m: MultiGM) -> dict:
-    """JSON document for a model (complete tables, canonical key order)."""
+    """JSON document for a model: complete tables, keys as in
+    :func:`parse_model`, built once per slot count per call."""
+    keys: dict[int, list[str]] = {}
     doc: dict[str, Any] = {
         "nodes": list(m.graph.nodes),
         "edges": [
@@ -152,13 +175,11 @@ def model_to_doc(m: MultiGM) -> dict:
     for a in m.graph.nodes:
         f = m.factors[a]
         k = len(f.variables)
-        table = {
-            "".join("1" if idx >> i & 1 else "0" for i in range(k)): float(v)
-            for idx, v in enumerate(f.table)
-        }
+        if k not in keys:
+            keys[k] = _bit_keys(k)
         doc["factors"][a] = {
             "order": [str(d) for d in f.variables],
-            "table": table,
+            "table": dict(zip(keys[k], f.table.tolist())),
             "soft": f.is_soft,
         }
     return doc
@@ -176,6 +197,12 @@ def load_model(path: str) -> MultiGM:
         raise ModelFileError(f"cannot read {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path!r} line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(
+            f"{path!r} byte {exc.start}: not UTF-8 text ({exc.reason})"
+        ) from None
+    except RecursionError:
+        raise ModelFileError(f"{path!r}: JSON nested too deeply") from None
     return parse_model(doc)
 
 
@@ -579,9 +606,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; ``parse_args`` keeps no state in it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "verify":
             return cmd_verify(args)
         m = load_model(args.model)

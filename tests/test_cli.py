@@ -298,6 +298,24 @@ def test_help_exits_zero(capsys):
     assert "usage: gaugepf" in capsys.readouterr().out
 
 
+def test_cached_parser_keeps_no_state(capsys, monkeypatch, two_node_file):
+    seen = []
+    cmd_bp = gaugepf.cli.cmd_bp
+
+    def spy(m, args):
+        seen.append(vars(args))
+        return cmd_bp(m, args)
+
+    monkeypatch.setattr(gaugepf.cli, "cmd_bp", spy)
+    assert gaugepf.cli._parser() is gaugepf.cli._parser()
+    assert main(["bp", two_node_file, "--restarts", "2"]) == EXIT_OK
+    assert main(["bp", two_node_file]) == EXIT_OK
+    capsys.readouterr()
+    assert seen[0]["restarts"] == 2
+    assert seen[1] == vars(gaugepf.cli.build_parser().parse_args(["bp", two_node_file]))
+    assert seen[1]["restarts"] == 16
+
+
 class TestCmdContract:
     def test_exact_mode_constant(self, capsys, self_edge_file):
         code, report, _ = run(capsys, ["contract", self_edge_file])

@@ -289,3 +289,25 @@ def test_cli_guard_before_enumeration(capsys, tmp_path, monkeypatch):
     path.write_text(serialize_model(_random(20, 8, 20)))
     assert main(["exact", str(path), "--guard", "19"]) == EXIT_INPUT
     assert "enumeration guard" in capsys.readouterr().err
+
+
+def test_cli_guard_then_report_in_one_process(capsys, tmp_path):
+    # main reuses one parser: the first call's --guard must not carry over
+    m = _random(20, 8, 20)
+    path = tmp_path / "m20.json"
+    path.write_text(serialize_model(m))
+    assert main(["exact", str(path), "--guard", "19"]) == EXIT_INPUT
+    capsys.readouterr()
+    assert main(["exact", str(path)]) == EXIT_OK
+    energy, config = _ref_map_energy(m)
+    report = {
+        "command": "exact",
+        "model_digest": model_digest(m),
+        "results": {
+            "Z": _ref_partition(m),
+            "map_energy": energy,
+            "argmax": "".join(str(b) for b in config),
+            "edge_order": list(m.graph.edges),
+        },
+    }
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -1,9 +1,10 @@
 """Properties of the model file format and the input-error exit code.
 
 Any model, self-edges and parallel edges included, survives a
-serialize/parse round trip bit for bit.  Every way of breaking a valid
-document, and every out-of-range solver flag, makes each command exit 3
-with an ``error:`` line on stderr and nothing on stdout.
+serialize/parse round trip bit for bit, and serializes to the same text as
+the per-character key construction below.  Every way of breaking a valid
+document or file, and every out-of-range solver flag, makes each command
+exit 3 with an ``error:`` line on stderr and nothing on stdout.
 """
 
 import contextlib
@@ -14,11 +15,12 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugepf import FactorTable, MultiGM, MultiGraph
-from gaugepf.cli import EXIT_INPUT, main, parse_model, serialize_model
+from gaugepf.cli import EXIT_INPUT, main, model_digest, parse_model, serialize_model
 
 from conftest import make_model
 
@@ -63,6 +65,47 @@ def test_round_trip(m):
     assert serialize_model(m2) == text
 
 
+def reference_doc(m):
+    """The model document with every key built one character at a time."""
+    factors = {}
+    for a in m.graph.nodes:
+        f = m.factors[a]
+        k = len(f.variables)
+        table = {
+            "".join("1" if idx >> i & 1 else "0" for i in range(k)): float(v)
+            for idx, v in enumerate(f.table)
+        }
+        factors[a] = {
+            "order": [str(d) for d in f.variables],
+            "table": table,
+            "soft": f.is_soft,
+        }
+    return {
+        "nodes": list(m.graph.nodes),
+        "edges": [
+            {"id": e, "tail": m.graph.endpoints[e][0], "head": m.graph.endpoints[e][1]}
+            for e in m.graph.edges
+        ],
+        "factors": factors,
+    }
+
+
+@given(models())
+@settings(max_examples=60, deadline=None)
+def test_serialize_matches_reference_text(m):
+    assert serialize_model(m) == json.dumps(reference_doc(m), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("m, digest", [
+    (make_model(["a", "b"], [("e1", "a", "b")], {"a": [1, 2], "b": [3, 4]}),
+     "40ada5403f19159977b725f6c546da7686ce8efbf6465a3580f63e7381464ff5"),
+    (make_model(["s", "z"], [("e", "s", "s")], {"s": [2, 5, 7, 3], "z": [7.5]}),
+     "e0d5b56d4fdbfc88499d987451dd8e4c3ecce4ace57a04908c6c007cd2e2c05b"),
+], ids=["two_node", "self_edge_and_zero_slot_node"])
+def test_model_digest_pinned(m, digest):
+    assert model_digest(m) == digest
+
+
 # -- exit 3 ---------------------------------------------------------------------
 
 
@@ -74,10 +117,12 @@ def _run(argv):
 
 
 def _assert_input_error(command, text, flags=()):
+    """``text`` is the file's content: a string written as UTF-8, or bytes."""
+    data = text if isinstance(text, bytes) else text.encode("utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
         argv = [command, path, *flags]
         if command == "contract":
             argv += ["--mode", "bp-sequence"]
@@ -166,3 +211,22 @@ TWO_NODE = serialize_model(
 def test_bad_solver_flag_exits_three(flag, command):
     name, value = flag
     _assert_input_error(command, TWO_NODE, [f"{name}={value!r}"])
+
+
+def _huge_integer_entry():
+    doc = json.loads(TWO_NODE)
+    doc["factors"]["a"]["table"]["0"] = 10**400
+    return json.dumps(doc)
+
+
+BROKEN_FILES = {
+    "not UTF-8": b"\xff\xfe",
+    "integer beyond float range": _huge_integer_entry(),
+    "nested past the recursion limit": "[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("command", ["exact", "bp", "contract", "loops"])
+@pytest.mark.parametrize("kind", sorted(BROKEN_FILES))
+def test_broken_file_exits_three(kind, command):
+    _assert_input_error(command, BROKEN_FILES[kind])
