@@ -42,7 +42,7 @@ that allocate nothing, and neither do the bound and the clamp-hit count
 that follow each sweep.  Memory is ``O(rows * 2**k)`` for a ``k``-slot
 node; the restarts are split into batches that keep it bounded on large
 tables.  The single-gauge entry points are the same code on one column:
-:func:`residual_norm` and :func:`bp_residual` run the residual pass, and
+``_at_gauge`` checks a gauge and runs the residual pass, and
 :func:`saddle_check` reads an edge's quadratic from the first step of a
 one-column sweep plan.  :func:`bp_contract_sequence` solves its first stage
 with restarts and each later one with a single restart started from the
@@ -248,9 +248,10 @@ class _Layout:
 def _residual_parts(
     lay: _Layout, x: np.ndarray, mono: Mapping[int, np.ndarray],
     weighted: Mapping[int, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient of ``log z``, normalized single-colored residual per slot,
-    and every node's total ``h_a``, one column per restart.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per restart the residual, the larger of the gradient norm and the
+    coloring residual (NaN read as inf); per slot, the gradient of ``log z``
+    and the normalized coloring residual; and every node's total ``h_a``.
 
     ``mono`` holds the weight vectors of ``x`` (:meth:`_Layout.weight_vectors`
     or a :class:`_Plan`'s), and ``weighted``, if given, one buffer of the
@@ -279,20 +280,11 @@ def _residual_parts(
     grad = mean / x - (pairs[:, ::-1] / (1.0 + prod)).reshape(x.shape)
     # inf or nan where beta is 0 or not finite
     with np.errstate(divide="ignore", invalid="ignore"):
-        coloring = np.abs(mean.reshape(pairs.shape) - beta) / beta
-    return grad, coloring.reshape(x.shape), np.concatenate(totals)
-
-
-def _residual_rows(
-    lay: _Layout, x: np.ndarray, mono: Mapping[int, np.ndarray],
-    weighted: Mapping[int, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per restart, the max of the gradient norm and the normalized coloring
-    residual; and every node's total ``h_a`` (see :func:`_residual_parts`)."""
-    grad, coloring, totals = _residual_parts(lay, x, mono, weighted)
+        coloring = (np.abs(mean.reshape(pairs.shape) - beta) / beta).reshape(x.shape)
     res = np.maximum(np.abs(grad).max(axis=0, initial=0.0),
                      coloring.max(axis=0, initial=0.0))
-    return np.where(np.isnan(res), math.inf, res), totals
+    res[np.isnan(res)] = math.inf
+    return res, grad, coloring, np.concatenate(totals)
 
 
 def _values(totals: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -309,6 +301,14 @@ def _values(totals: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.exp(log_z)
 
 
+def _at_gauge(m: MultiGM, x: GaugeVector) -> tuple[float, dict[DirectedEdge, float]]:
+    """Check gauge ``x``; its residual and its gradient of ``log z`` per dart."""
+    check_gauge(m, x)
+    lay, col = _Layout.for_gauge(m, x)
+    res, grad, _, _ = _residual_parts(lay, col, lay.weight_vectors(col))
+    return float(res[0]), {d: float(grad[j, 0]) for d, j in lay.col.items()}
+
+
 def bp_residual(m: MultiGM, x: GaugeVector) -> dict[DirectedEdge, float]:
     """Stationarity residual: the gradient of ``log z(x)``, one entry per slot.
 
@@ -317,16 +317,7 @@ def bp_residual(m: MultiGM, x: GaugeVector) -> dict[DirectedEdge, float]:
     """
     if not m.is_soft:
         raise ModelError("residuals need a soft model; soften it first")
-    check_gauge(m, x)
-    lay, col = _Layout.for_gauge(m, x)
-    grad, _, _ = _residual_parts(lay, col, lay.weight_vectors(col))
-    return {d: float(grad[j, 0]) for d, j in lay.col.items()}
-
-
-def residual_norm(m: MultiGM, x: GaugeVector) -> float:
-    """Max of the gradient norm and the normalized coloring residual."""
-    lay, col = _Layout.for_gauge(m, x)
-    return float(_residual_rows(lay, col, lay.weight_vectors(col))[0][0])
+    return _at_gauge(m, x)[1]
 
 
 # -- closed-form edge update ----------------------------------------------
@@ -604,7 +595,7 @@ def _lockstep(
         plan.weigh()
         if sweep < cfg.max_sweeps and _unconverged(plan, cfg.tolerance):
             continue
-        r, totals = _residual_rows(lay, x, plan.mono, plan.weighted)
+        r, _, _, totals = _residual_parts(lay, x, plan.mono, plan.weighted)
         stop = (r <= cfg.tolerance) | (sweep == cfg.max_sweeps)
         if stop.any():
             done, keep = active[stop], ~stop

@@ -399,7 +399,9 @@ def cmd_loops(m: MultiGM, args: argparse.Namespace) -> int:
         }
         for c in configs
     ]
-    total = loops_mod.loop_series_sum(msoft, g.x, guard=args.guard)
+    total = 0.0
+    for t in terms:  # in enumeration order, as loop_series_sum adds them
+        total += t["term"]
     # Z of the model as given, the sum of the softened one: on a hard model,
     # relative_error includes the softening bias
     z = partition_exact(m, guard=args.guard)
@@ -424,7 +426,8 @@ def _rel_err(a: float, b: float) -> float:
 
 def _random_gauge(m: MultiGM, rng: np.random.Generator) -> dict[DirectedEdge, float]:
     darts = sorted(m.graph.directed_edges(), key=str)
-    return {d: float(np.exp(rng.uniform(np.log(0.25), np.log(4.0)))) for d in darts}
+    lo, hi = np.log(bp_mod._INIT_RANGE[0]), np.log(bp_mod._INIT_RANGE[1])
+    return {d: float(np.exp(rng.uniform(lo, hi))) for d in darts}
 
 
 def _verify_one_model(
@@ -587,7 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("model", nargs="?", help="model JSON file")
             p.add_argument("--random", type=int, default=10, metavar="N",
                            help="number of random models when no file is given")
-            p.add_argument("--edges", type=int, default=6)
+            p.add_argument("--edges", type=int, default=6,
+                           help="edges per random model; a one-node draw has a "
+                           "2*EDGES-slot table, whose solve can take tens of seconds")
         else:
             p.add_argument("model", help="model JSON file")
         p.add_argument("--tol", type=float, default=1e-10)

@@ -31,7 +31,11 @@ def random_soft_model(
     n_nodes: int | None = None,
     p_self: float = 0.25,
 ) -> MultiGM:
-    """Random soft model with a mix of self-edges, normal and parallel edges."""
+    """Random soft model with a mix of self-edges, normal and parallel edges.
+
+    Without ``n_nodes`` a one-node draw is possible: all self-edges, one
+    ``2 * n_edges``-slot table, whose solve can take tens of seconds.
+    """
     if n_nodes is None:
         n_nodes = int(rng.integers(1, max(2, n_edges) + 1))
     nodes = [f"n{i}" for i in range(n_nodes)]

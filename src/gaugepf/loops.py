@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bp import NonConvergenceError, residual_norm
-from .gauge import GaugeVector, check_gauge, edge_belief, gauge_function, slot_map
+from .bp import NonConvergenceError, _at_gauge
+from .gauge import GaugeVector, edge_belief, gauge_function, slot_map
 from .model import Config, EnumerationGuardError, MultiGM
 from .multigraph import MultiGraph, NodeId
 
@@ -79,8 +79,7 @@ def _at_bp_gauge(m: MultiGM, x_bp: GaugeVector) -> tuple[ColoredTables, float]:
     ``Q_a[sigma_a]`` is node ``a``'s table reduced at the coloring
     ``sigma_a`` of its slots, so ``Q_a[0]`` is ``h_a``.
     """
-    check_gauge(m, x_bp)
-    res = residual_norm(m, x_bp)
+    res, _ = _at_gauge(m, x_bp)
     if res > CONVERGENCE_THRESHOLD:
         raise NonConvergenceError(
             f"gauge residual {res:.3e} exceeds {CONVERGENCE_THRESHOLD:g}; "

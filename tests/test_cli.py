@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gaugepf.cli import (
     serialize_model,
 )
 from gaugepf.families import matching_model, random_soft_model
+from gaugepf.model import soften
 
 from conftest import make_model
 
@@ -404,6 +406,38 @@ class TestCmdLoops:
              "--restarts", "2"],
         )
         assert code == EXIT_NONCONVERGENCE
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: random_soft_model(np.random.default_rng(5), 10, n_nodes=5),
+         lambda: matching_model(3, 3)],
+        ids=["soft", "hard"],
+    )
+    def test_sum_is_loop_series_sum_bit_for_bit(self, capsys, tmp_path, make):
+        """The reported sum adds the reported terms in enumeration order,
+        as loop_series_sum does on the (softened) model."""
+        path = tmp_path / "m.json"
+        path.write_text(serialize_model(make()))
+        code, report, _ = run(capsys, ["loops", str(path), "--restarts", "4"])
+        assert code == EXIT_OK
+        m = load_model(str(path))
+        cfg = gaugepf.bp.SolverConfig(restarts=4)
+        msoft = m if m.is_soft else soften(m, cfg.soften_eps)
+        g = gaugepf.bp.solve_bp(m, cfg)
+        assert report["results"]["sum"] == gaugepf.loops.loop_series_sum(msoft, g.x)
+
+
+def test_missing_dart_named(two_node_model):
+    """A gauge without one dart is refused by name, by the loop series and
+    the residual alike."""
+    g = gaugepf.bp.solve_bp(two_node_model, gaugepf.bp.SolverConfig(restarts=2))
+    for d in g.x:
+        x = {k: v for k, v in g.x.items() if k != d}
+        match = f"missing directed edge {re.escape(str(d))}"
+        with pytest.raises(ValueError, match=match):
+            gaugepf.loops.loop_term(two_node_model, x, (0,))
+        with pytest.raises(ValueError, match=match):
+            gaugepf.bp.bp_residual(two_node_model, x)
 
 
 class TestDeterminism:

@@ -72,9 +72,9 @@ def test_bound_is_last_edge_residual(self_last, data, rows, sweeps, seed):
     bp_mod._unconverged(plan, cfg.tolerance)
     bound = plan.bound.copy()
 
-    r, _ = bp_mod._residual_rows(lay, x, plan.mono, plan.weighted)
+    r, *_ = bp_mod._residual_parts(lay, x, plan.mono, plan.weighted)
     assert np.all(bound <= r * (1.0 + REL))
-    grad, coloring, _ = bp_mod._residual_parts(lay, x, plan.mono)
+    _, grad, coloring, _ = bp_mod._residual_parts(lay, x, plan.mono)
     last = np.maximum(np.abs(grad[-2:]), coloring[-2:]).max(axis=0)
     np.testing.assert_allclose(bound, last, rtol=1e-9)
     # the pass is never skipped when it would stop a row, nor when a row's
@@ -140,7 +140,7 @@ def test_skipping_matches_full_pass_with_clamp_hits(monkeypatch):
 def test_residual_pass_runs_on_a_minority_of_sweeps(monkeypatch):
     m = LOOPY_MODELS["loopy_9"]()
     counts = {"sweeps": 0, "passes": 0}
-    real_sweep, real_pass = bp_mod._sweep, bp_mod._residual_rows
+    real_sweep, real_pass = bp_mod._sweep, bp_mod._residual_parts
 
     def sweep(*args):
         counts["sweeps"] += 1
@@ -151,7 +151,7 @@ def test_residual_pass_runs_on_a_minority_of_sweeps(monkeypatch):
         return real_pass(*args)
 
     monkeypatch.setattr(bp_mod, "_sweep", sweep)
-    monkeypatch.setattr(bp_mod, "_residual_rows", residual_pass)
+    monkeypatch.setattr(bp_mod, "_residual_parts", residual_pass)
     (g,) = _restarts(m, SolverConfig(restarts=1))
     assert g.converged
     assert counts["sweeps"] == g.sweeps >= 30
