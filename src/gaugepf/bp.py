@@ -1,12 +1,23 @@
 """BP gauges: stationary points of the gauge function and everything on top.
 
-The solver runs damped Gauss-Seidel sweeps over edges.  For one edge, with
+The solver runs Gauss-Seidel sweeps over edges.  For one edge, with
 all other gauge values frozen, the numerator polynomial is a quadratic in
 the edge's orientation pair and the stationary pair has a closed form; the
 sweep applies it edge by edge until the gradient of ``log z`` vanishes.
 Stationary points are saddles in each orientation pair, and the largest
 converged value across random restarts is the variational estimate of the
 partition function (exact on trees, a lower bound on bi-stable families).
+
+Each random restart runs in two phases.  It first takes full, undamped
+steps, at most ``_UNDAMPED_SWEEPS`` (100) of them, and stops at
+``_UNDAMPED_TIGHTEN`` (1e-2) times the tolerance.  Damping only cures BP
+that oscillates, and a stable fixed point needs none (Murphy, Weiss &
+Jordan 1999).  A restart that does not converge so, such as every restart
+on the 2x2 all-ones permanent, runs again from its initial draw with the
+configured damping.  That fallback gets up to ``max_sweeps`` sweeps of its
+own, and the restart's ``sweeps`` counts both phases.  With ``damping=0``
+there is one undamped phase, of up to ``max_sweeps`` sweeps, to the
+tolerance itself.
 
 All restarts run in lockstep as the columns of one ``(darts, restarts)``
 gauge array, each stopping at its own convergence sweep.  Rows are
@@ -33,7 +44,8 @@ degree.  The residual pass reduces each slot count's weighted stack in one
 only when a restart may have converged: the chain sums of the sweep's last
 edge give that edge's residual exactly, a lower bound on the restart's,
 and while it exceeds the tolerance by a margin in every restart the pass
-is skipped.  The pass also holds every node's total ``h_a``, from which a
+is skipped.  (A full step leaves the last edge exactly stationary, so the
+pass runs after every undamped sweep.)  The pass also holds every node's total ``h_a``, from which a
 restart's value ``z(x)`` is taken when it stops.  Every array a sweep
 writes belongs to a sweep plan (:class:`_Plan`) that a batch allocates
 once and rebuilds only when restarts retire, together with each edge
@@ -48,10 +60,10 @@ one-column sweep plan.  :func:`bp_contract_sequence` solves its first stage
 with restarts and each later one with a single restart started from the
 previous stage's gauge, falling back to restarts when that one does not
 converge or its value drops.  That warm restart takes full, undamped steps,
-capped at the sweeps stage 0's chosen restart took: it starts next to its
-fixed point, and damping only slows it there.  Damping applies to the
-random restarts only.  The direct Bethe minimizer that cross-checks the
-solver lives apart from it, in :mod:`gaugepf.bethe`.
+capped at the sweeps stage 0's chosen restart took, and has no damped
+phase: it starts next to its fixed point, and damping only slows it there.
+The direct Bethe minimizer that cross-checks the solver lives apart from
+it, in :mod:`gaugepf.bethe`.
 """
 
 from __future__ import annotations
@@ -101,11 +113,17 @@ class ConfigError(ValueError):
 class SolverConfig:
     """Knobs for :func:`solve_bp`.
 
-    ``damping`` is the weight kept on the old value at each edge update
-    (0 means full steps).  It applies to the random restarts only: the warm
-    stages of :func:`bp_contract_sequence` take full steps, capped at stage
-    0's sweeps.  Initial gauges are drawn log-uniformly from
-    ``_INIT_RANGE`` per restart.
+    ``damping`` is the weight kept on the old value at each edge update of
+    the fallback phase (0 means full steps).  Each random restart first
+    runs undamped, for at most ``min(max_sweeps, _UNDAMPED_SWEEPS)`` sweeps
+    and to ``tolerance * _UNDAMPED_TIGHTEN``; only a restart that does not
+    converge so runs again from its initial draw with ``damping``, for up to
+    ``max_sweeps`` more sweeps.  So ``max_sweeps`` bounds each phase, and
+    with ``damping=0`` the undamped phase is the whole solve, to
+    ``tolerance`` in up to ``max_sweeps`` sweeps.  The warm stages of
+    :func:`bp_contract_sequence` take full steps only, capped at stage 0's
+    sweeps.  Initial gauges are drawn log-uniformly from ``_INIT_RANGE``
+    per restart.
     """
 
     damping: float = 0.5
@@ -138,7 +156,10 @@ class BPGauge:
     converged: bool
     softened: bool = False
     stationary_values: tuple[float, ...] = ()
-    clamped: int = 0  # sweeps that ended with a gauge value on a _CLAMP bound
+    # sweeps that ended with a gauge value on a _CLAMP bound, in the phase
+    # that gave ``x`` (the damped one after a fallback)
+    clamped: int = 0
+    fallbacks: int = 0  # restarts that did not converge undamped and ran damped
 
 
 @dataclass(frozen=True)
@@ -625,8 +646,22 @@ def _gauges(
     ]
 
 
+# A cold restart's undamped phase: at most this many sweeps, to this factor
+# times the tolerance.  Full steps stop farther from the fixed point than
+# damped ones at the same residual; the tighter stop keeps the value as
+# close to the fixed point's as a damped solve's (on the softened 3x3
+# all-ones permanent, a stop at the tolerance itself moves it by 1.2e-12).
+_UNDAMPED_SWEEPS = 100
+_UNDAMPED_TIGHTEN = 1e-2
+
+
 def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
-    """Every restart's own result, in restart order, on a soft model with edges."""
+    """Every restart's own result, in restart order, on a soft model with edges.
+
+    With ``cfg.damping > 0`` each batch runs undamped first; the restarts
+    that do not converge in that phase run again from their initial draws
+    with ``cfg``, and their ``sweeps`` count both phases.
+    """
     darts = sorted(m.graph.directed_edges(), key=str)
     lay = _Layout.of(m, sorted(m.graph.edges))
     rng = np.random.default_rng(cfg.seed)
@@ -639,9 +674,22 @@ def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
     x0 = x0[:, [index[d] for d in lay.darts]].T
     k = max(len(f.variables) for f in m.factors.values())
     batch = max(1, _BATCH_ENTRIES >> k)
+    first = cfg
+    if cfg.damping:
+        first = replace(
+            cfg, damping=0.0, max_sweeps=min(cfg.max_sweeps, _UNDAMPED_SWEEPS),
+            # a positive tolerance, even when the product underflows
+            tolerance=max(cfg.tolerance * _UNDAMPED_TIGHTEN, math.ulp(0.0)),
+        )
     out = []
     for start in range(0, cfg.restarts, batch):
-        out += _gauges(lay, darts, x0[:, start : start + batch], cfg)
+        x = x0[:, start : start + batch]
+        runs = _gauges(lay, darts, x, first)
+        redo = [i for i, g in enumerate(runs) if not g.converged]
+        if first is not cfg and redo:
+            for i, g in zip(redo, _gauges(lay, darts, x[:, redo], cfg)):
+                runs[i] = replace(g, sweeps=runs[i].sweeps + g.sweeps, fallbacks=1)
+        out += runs
     return out
 
 
@@ -666,12 +714,17 @@ def _tied(a: float, b: float) -> bool:
 
 
 def solve_bp(m: MultiGM, cfg: SolverConfig = SolverConfig()) -> BPGauge:
-    """Find a maximal BP gauge by damped Gauss-Seidel with restarts.
+    """Find a maximal BP gauge by Gauss-Seidel with restarts.
 
     Auto-softens hard models with ``cfg.soften_eps``.  Each restart starts
-    from a fresh log-uniform gauge; among converged restarts the gauge with
-    the largest ``z(x)`` wins.  Values within a relative 1e-8 of each other
-    are one stationary value, and the first restart to reach it is kept.
+    from a fresh log-uniform gauge and takes full steps; one that does not
+    converge within ``min(cfg.max_sweeps, _UNDAMPED_SWEEPS)`` sweeps runs
+    again from that gauge with ``cfg.damping`` (see :class:`SolverConfig`).
+    The result's ``sweeps`` are the chosen restart's, both phases counted,
+    and its ``fallbacks`` the number of restarts that needed the damped
+    phase.  Among converged restarts the gauge with the largest ``z(x)``
+    wins.  Values within a relative 1e-8 of each other are one stationary
+    value, and the first restart to reach it is kept.
     A result with ``converged=False`` reports the best residual reached -
     callers decide whether that is fatal.
     """
@@ -689,29 +742,31 @@ def solve_bp(m: MultiGM, cfg: SolverConfig = SolverConfig()) -> BPGauge:
         )
 
     best: BPGauge | None = None
-    fallback: BPGauge | None = None
+    lowest: BPGauge | None = None
     values: list[float] = []
-    for attempt in _restarts(m, cfg):
+    runs = _restarts(m, cfg)
+    fallbacks = sum(a.fallbacks for a in runs)
+    for attempt in runs:
         if attempt.converged:
             values.append(attempt.value)
             if best is None or (
                 attempt.value > best.value and not _tied(attempt.value, best.value)
             ):
                 best = attempt
-        elif fallback is None or attempt.residual < fallback.residual:
-            fallback = attempt
+        elif lowest is None or attempt.residual < lowest.residual:
+            lowest = attempt
 
     distinct: list[float] = []
     for v in sorted(values, reverse=True):
         if not distinct or not _tied(distinct[-1], v):
             distinct.append(v)
-    chosen = best if best is not None else fallback
+    chosen = best if best is not None else lowest
     assert chosen is not None
     return BPGauge(
         x=chosen.x, residual=chosen.residual, value=chosen.value,
         sweeps=chosen.sweeps, converged=chosen.converged,
         softened=softened, stationary_values=tuple(distinct),
-        clamped=chosen.clamped,
+        clamped=chosen.clamped, fallbacks=fallbacks,
     )
 
 
@@ -815,7 +870,7 @@ class SaddleReport:
 
 
 def saddle_check(
-    m: MultiGM, x_bp: GaugeVector, edge: EdgeId, step: float = 1e-5
+    m: MultiGM, x_bp: GaugeVector, edge: EdgeId, step: float = 1e-4
 ) -> SaddleReport:
     """Central-difference 2x2 Hessian of the edge-pair profile at a gauge.
 
@@ -831,6 +886,11 @@ def saddle_check(
     smaller than the profile's float resolution, which happens for nearly
     factorized edges at very large gauge values (the curvature shrinks
     like ``h01 h10 / (h11 (1 + x_p x_q))``).
+
+    ``step`` is relative to each coordinate (at least 1).  A central second
+    difference has truncation error of order ``step**2`` and rounding error
+    of order ``eps / step**2``; the two balance near ``eps**0.25``, about
+    1e-4.  At 1e-5 rounding dominates the cross term.
     """
     if edge not in m.graph.endpoints:
         raise GraphError(f"unknown edge {edge!r}")
@@ -845,8 +905,8 @@ def saddle_check(
     c = QuadCoeffs(h00, h10, h01, h11)
     xp0 = x_bp[DirectedEdge(edge, True)]
     xq0 = x_bp[DirectedEdge(edge, False)]
-    # steps scale with the coordinates: an absolute 1e-5 step drowns in
-    # rounding once gauge values reach ~1e2
+    # steps scale with the coordinates: an absolute step drowns in rounding
+    # once gauge values reach ~1e2
     hp = step * max(1.0, abs(xp0))
     hq = step * max(1.0, abs(xq0))
 
@@ -908,11 +968,12 @@ def bp_contract_sequence(
     corrector step of a continuation: it starts next to its fixed point, so
     it takes full steps (``damping=0``) and gets no more sweeps than stage
     0's chosen restart took, nor than ``cfg.max_sweeps``; ``cfg.damping``
-    applies to stage 0 and the fallbacks only.  A stage falls back to
-    :func:`solve_bp`, the random restarts of ``cfg``, when the warm restart
-    does not converge within those sweeps or its value lies below the
-    previous stage's by more than :func:`sequence_decreases`' default slack;
-    on bi-stable families such a drop points to the wrong stationary point.
+    applies to the damped phase of stage 0 and of the fallbacks only.  A
+    stage falls back to :func:`solve_bp`, the random restarts of ``cfg``,
+    when the warm restart does not converge within those sweeps or its
+    value lies below the previous stage's by more than
+    :func:`sequence_decreases`' default slack; on bi-stable families such a
+    drop points to the wrong stationary point.
     The final stage has no edges left, so its value is the exact partition
     function.  Decreases along the sequence are reported by
     :func:`sequence_decreases`, not raised.

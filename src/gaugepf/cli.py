@@ -288,6 +288,7 @@ def cmd_bp(m: MultiGM, args: argparse.Namespace) -> int:
         "sweeps": g.sweeps,
         "softened": g.softened,
         "clamped": g.clamped,
+        "fallbacks": g.fallbacks,
         "gauge": _gauge_doc(g.x),
         "stationary_values": list(g.stationary_values),
     }
@@ -596,9 +597,15 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("model", help="model JSON file")
         p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--damping", type=float, default=0.5)
+        p.add_argument("--damping", type=float, default=0.5,
+                       help="damping of the fallback solve: a random restart takes "
+                       "full steps first and runs damped only if those do not "
+                       "converge; 0 gives one undamped solve")
         p.add_argument("--restarts", type=int, default=16)
-        p.add_argument("--max-sweeps", type=int, default=10_000)
+        p.add_argument("--max-sweeps", type=int, default=10_000,
+                       help="sweeps per solve phase: the undamped phase takes at "
+                       f"most min({bp_mod._UNDAMPED_SWEEPS}, MAX_SWEEPS), the damped "
+                       "fallback MAX_SWEEPS")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--soften", type=float, default=1e-12)
         p.add_argument("--guard", type=int, default=DEFAULT_ENUMERATION_GUARD)

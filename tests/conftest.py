@@ -26,6 +26,15 @@ def self_edge_model():
 
 
 @pytest.fixture
+def loopy_model():
+    """Six random soft edges on three nodes.  Loopy, so unlike the one-edge
+    models above no single full sweep solves it exactly."""
+    from gaugepf.families import random_soft_model
+
+    return random_soft_model(np.random.default_rng(1), 6, n_nodes=3)
+
+
+@pytest.fixture
 def triangle_model():
     """Triangle with all factor entries 1; Z = 2**3 = 8."""
     tables = {a: [1, 1, 1, 1] for a in "abc"}

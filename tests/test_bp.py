@@ -37,6 +37,7 @@ from gaugepf.bp import (
 )
 from gaugepf.families import (
     matching_model,
+    permanent_bruteforce,
     permanent_model,
     random_soft_model,
     random_tree_model,
@@ -205,9 +206,31 @@ class TestSolveBP:
         assert g.converged
         assert g.value <= 2.0
 
-    def test_nonconvergence_reported_not_raised(self, two_node_model):
+    def test_fallbacks_counted(self, two_node_model):
+        # one full step solves a one-edge model; undamped BP never converges
+        # on the softened 2x2 all-ones permanent, so every restart runs damped
+        assert solve_bp(two_node_model, FAST).fallbacks == 0
+        m = permanent_model(np.ones((2, 2)))
+        g = solve_bp(m, FAST)
+        assert g.converged
+        assert g.fallbacks == FAST.restarts
+        assert g.sweeps > bp_mod._UNDAMPED_SWEEPS
+        # without damping there is one phase and nothing to fall back to
+        undamped = solve_bp(m, dataclasses.replace(FAST, damping=0.0, max_sweeps=300))
+        assert not undamped.converged
+        assert undamped.fallbacks == 0
+        assert undamped.sweeps == 300
+
+    def test_subnormal_tolerance_runs(self, two_node_model):
+        # the undamped phase's tolerance is a hundredth of this, which
+        # rounds to 0; one full step solves the edge exactly
+        g = solve_bp(two_node_model, SolverConfig(tolerance=5e-324, restarts=2))
+        assert g.converged
+        assert g.fallbacks == 0
+
+    def test_nonconvergence_reported_not_raised(self, loopy_model):
         cfg = SolverConfig(tolerance=1e-30, max_sweeps=5, restarts=2)
-        g = solve_bp(two_node_model, cfg)
+        g = solve_bp(loopy_model, cfg)
         assert not g.converged
         assert g.residual > 0
 
@@ -579,6 +602,31 @@ class TestContractSequence:
         for s, value in zip(stages, offered):
             assert value < s.z_vbp * (1.0 - 1e-9)
         self._assert_cold_fallbacks(stages)
+
+
+# For a nonnegative n x n matrix A, perm_B(A) <= perm(A) <= 2**(n/2) perm_B(A)
+# (Gurvits 2011, the upper side via Schrijver's inequality).  Entries are
+# log-uniform in e**(+-1.5), drawn from a seed so that hypothesis cannot
+# shrink towards the all-ones matrix, whose 4 x 4 sequence has a stage that
+# never converges.  Up to n = 3 the check covers every stage of the
+# sequence, stage 0 being solve_bp's solve; a 4 x 4 sequence takes seconds,
+# so at n = 4 it covers solve_bp alone.  Softened permanents take hundreds
+# to thousands of sweeps, so the examples are few and fixed.
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_permanent_bounds(n, seed):
+    a = np.exp(np.random.default_rng(seed).uniform(-1.5, 1.5, (n, n)))
+    perm = permanent_bruteforce(a)
+    m = permanent_model(a)
+    if n <= 3:
+        stages = bp_contract_sequence(m, m.graph.normal_first_order(), FAST)
+        values = [s.gauge for s in stages]
+    else:
+        values = [solve_bp(m, FAST)]
+    for g in values:
+        assert g.converged
+        assert g.value <= perm * (1 + 1e-9)
+        assert perm <= 2 ** (n / 2) * g.value * (1 + 1e-9)
 
 
 class TestBPNormalContract:

@@ -23,7 +23,7 @@ from gaugepf.cli import (
     parse_model,
     serialize_model,
 )
-from gaugepf.families import matching_model, random_soft_model
+from gaugepf.families import matching_model, permanent_model, random_soft_model
 from gaugepf.model import soften
 
 from conftest import make_model
@@ -40,6 +40,13 @@ def two_node_file(tmp_path, two_node_model):
 def self_edge_file(tmp_path, self_edge_model):
     path = tmp_path / "self_edge.json"
     path.write_text(serialize_model(self_edge_model))
+    return str(path)
+
+
+@pytest.fixture
+def loopy_file(tmp_path, loopy_model):
+    path = tmp_path / "loopy.json"
+    path.write_text(serialize_model(loopy_model))
     return str(path)
 
 
@@ -209,6 +216,16 @@ class TestCmdBP:
         )
         assert report["results"]["clamped"] == 5
 
+    def test_fallbacks_reported(self, capsys, tmp_path, two_node_file):
+        _, report, _ = run(capsys, ["bp", two_node_file, "--restarts", "2"])
+        assert report["results"]["fallbacks"] == 0
+        path = tmp_path / "perm.json"
+        path.write_text(serialize_model(permanent_model(np.ones((2, 2)))))
+        code, report, _ = run(capsys, ["bp", str(path), "--restarts", "2"])
+        assert code == EXIT_OK
+        assert report["results"]["converged"] is True
+        assert report["results"]["fallbacks"] == 2
+
     def test_nan_value_exits_four(self, capsys, tmp_path, two_node_file, monkeypatch):
         real = gaugepf.bp.solve_bp
         monkeypatch.setattr(
@@ -232,10 +249,10 @@ class TestCmdBP:
         assert r["exact"] is False
         assert math.isfinite(r["Z_vbp"])
 
-    def test_nonconvergence_exit_two(self, capsys, two_node_file):
+    def test_nonconvergence_exit_two(self, capsys, loopy_file):
         code, report, _ = run(
             capsys,
-            ["bp", two_node_file, "--tol", "1e-30", "--max-sweeps", "3",
+            ["bp", loopy_file, "--tol", "1e-30", "--max-sweeps", "3",
              "--restarts", "2"],
         )
         assert code == EXIT_NONCONVERGENCE
@@ -399,10 +416,10 @@ class TestCmdLoops:
         assert r["relative_error"] is None
         assert math.isfinite(r["sum"])
 
-    def test_nonconvergence_exit_two(self, capsys, self_edge_file):
+    def test_nonconvergence_exit_two(self, capsys, loopy_file):
         code, _, _ = run(
             capsys,
-            ["loops", self_edge_file, "--tol", "1e-30", "--max-sweeps", "3",
+            ["loops", loopy_file, "--tol", "1e-30", "--max-sweeps", "3",
              "--restarts", "2"],
         )
         assert code == EXIT_NONCONVERGENCE
