@@ -41,11 +41,11 @@ once per sweep and slot count, for the gauge the next sweep starts from;
 so a sweep costs about two table passes per node, whatever the node's
 degree.  The residual pass reduces each slot count's weighted stack in one
 :func:`gauge.slot_sums` call, one more table pass per node, and it runs
-only when a restart may have converged: the chain sums of the sweep's last
-edge give that edge's residual exactly, a lower bound on the restart's,
-and while it exceeds the tolerance by a margin in every restart the pass
-is skipped.  (A full step leaves the last edge exactly stationary, so the
-pass runs after every undamped sweep.)  The pass also holds every node's total ``h_a``, from which a
+only when a restart may have converged: the first edge's chain sums, read
+again at the gauge the sweep ends on, give that edge's residual exactly, a
+lower bound on the restart's, and while it exceeds the tolerance by a
+margin in every restart the pass is skipped, after damped and full steps
+alike.  The pass also holds every node's total ``h_a``, from which a
 restart's value ``z(x)`` is taken when it stops.  Every array a sweep
 writes belongs to a sweep plan (:class:`_Plan`) that a batch allocates
 once and rebuilds only when restarts retire, together with each edge
@@ -424,12 +424,13 @@ class _Plan:
     sweep order, the ``matmul`` operands that fill ``sums``, the ratio's
     numerator and denominator (``None`` on a self-edge), the edge's
     ``(2, rows)`` block of ``x``, and each fold's two halves, weights and
-    output.  ``last`` is the last edge's ``(2, rows)`` block of ``x`` and
+    output.  ``first`` is the first edge's ``(2, rows)`` block of ``x`` and
     ``ends`` its per-dart sums ``[dart, bit, row]``, a view of ``sums`` on
     a normal edge and a buffer of its own on a self-edge; :func:`_unconverged`
-    reads both and writes the per-row bound into ``bound``.  The remaining
-    buffers are scratch for that bound and for :meth:`at_bounds`.  A batch
-    whose rows change gets a new plan.
+    reads the first edge's chain sums again (:meth:`read_first`), then both,
+    and writes the per-row bound into ``bound``.  The remaining buffers are
+    scratch for that bound and for :meth:`at_bounds`.  A batch whose rows
+    change gets a new plan.
     """
 
     def __init__(self, lay: _Layout, x: np.ndarray) -> None:
@@ -442,9 +443,9 @@ class _Plan:
         self.step = np.empty((2, rows))
         self.lowest = np.empty((rows, 2, 2))
         self.steps = self._steps()
-        tail, head, *_ = lay.steps[-1]
-        self.last, self.self_last = x[-2:], tail == head  # the last edge's pair
-        self.ends = (np.empty((2, 2, rows)) if self.self_last
+        tail, head, *_ = lay.steps[0]
+        self.first, self.self_first = x[:2], tail == head  # the first edge's pair
+        self.ends = (np.empty((2, 2, rows)) if self.self_first
                      else self.sums.transpose(1, 2, 0))
         self.mean, self.diff = np.empty((2, rows)), np.empty((2, rows))
         self.beta, self.bound = np.empty(rows), np.empty(rows)
@@ -457,6 +458,11 @@ class _Plan:
         for k, s in self.lay.slots.items():
             w1 = np.take(self.x, s, axis=0, out=self.gathered[k])  # (n_k, k, rows)
             monomials(w1.transpose(0, 2, 1), out=self.mono[k])
+
+    def read_first(self) -> None:
+        """The first edge's chain sums at the weight vectors, into ``sums``."""
+        for t, w, out in self.steps[0][0]:
+            np.matmul(t, w, out=out)
 
     def at_bounds(self) -> np.ndarray:
         """Per row, whether a gauge value lies on a ``_CLAMP`` bound (a plan buffer)."""
@@ -541,7 +547,7 @@ def _sweep(plan: _Plan, cfg: SolverConfig) -> None:
     _check_linear(lowest)
 
 
-# The full residual pass is skipped only when every row's last-edge bound
+# The full residual pass is skipped only when every row's first-edge bound
 # exceeds this factor times the tolerance: the bound and the pass sum in
 # different orders, and the margin keeps a rounding difference between them
 # from hiding a row that has converged.
@@ -549,24 +555,27 @@ _MARGIN = 2.0
 
 
 def _unconverged(plan: _Plan, tol: float) -> bool:
-    """Whether the sweep's last edge shows every row's residual above
-    ``_MARGIN * tol``, from its chain sums, which ``plan.sums`` still holds
-    when :func:`_sweep` returns.
+    """Whether the sweep's first edge shows every row's residual above
+    ``_MARGIN * tol``, from its chain sums at the weight vectors of the
+    gauge the sweep ended on (``plan.weigh`` has run).
 
-    The last edge comes last at both its endpoints, so their chains have
-    every other slot folded in at its final value, and each of its darts'
-    tilted means ``S1 / (S0 + S1)`` is exact: ``S = (a0, x_p a1)`` at a
-    normal edge's tail and ``(b0, x_q b1)`` at its head; ``(h00 + h01 x_q,
-    x_p (h10 + h11 x_q))`` and its mirror on a self-edge.  With ``beta =
+    The first edge's slots are the top bits of both its endpoints' tables,
+    and every other slot is reduced at its final value, so each of its
+    darts' tilted means ``S1 / (S0 + S1)`` is exact: ``S = (a0, x_p a1)``
+    at a normal edge's tail and ``(b0, x_q b1)`` at its head; ``(h00 + h01
+    x_q, x_p (h10 + h11 x_q))`` and its mirror on a self-edge.  With ``beta =
     x_p x_q / (1 + x_p x_q)`` a dart's gradient ``mean / x - x_sib / (1 +
     x_p x_q)`` is ``(mean - beta) / x`` and its coloring residual
     ``|mean - beta| / beta``, so the larger of the two is ``|mean - beta| /
     min(x, beta)``: the residual pass's value on that dart, a lower bound on
     its row's.  The larger over the two darts goes into ``plan.bound``; a NaN
-    bound counts as possibly converged.
+    bound counts as possibly converged.  The first edge is the one whose
+    residual the rest of the sweep moved: a full step leaves the last edge
+    exactly stationary, so its bound would read 0 after every undamped sweep.
     """
-    x, ends, mean, diff, beta = plan.last, plan.ends, plan.mean, plan.diff, plan.beta
-    if plan.self_last:  # sum the 2x2 block h[bit_p, bit_q] over the other dart
+    plan.read_first()
+    x, ends, mean, diff, beta = plan.first, plan.ends, plan.mean, plan.diff, plan.beta
+    if plan.self_first:  # sum the 2x2 block h[bit_p, bit_q] over the other dart
         h = plan.sums.transpose(1, 2, 0)
         np.multiply(h[:, 1], x[1], out=ends[0])
         ends[0] += h[:, 0]
@@ -599,10 +608,10 @@ def _lockstep(
     after the sweep that brings its residual within the tolerance, so its
     iterates are exactly those of a solve on its own; the batch then gets a
     new :class:`_Plan` for the rows that remain.  The full residual pass
-    runs only after a sweep whose last edge leaves some row within
-    ``_MARGIN`` times the tolerance (:func:`_unconverged`), and after the
-    last sweep; the others cannot stop a row, so skipping them changes no
-    result.
+    runs only after a sweep whose first edge, read again at the new gauge,
+    leaves some row within ``_MARGIN`` times the tolerance
+    (:func:`_unconverged`), and after the last sweep; the others cannot
+    stop a row, so skipping them changes no result.
     """
     x = x.copy()
     n = x.shape[1]
@@ -897,8 +906,7 @@ def saddle_check(
     # the chain sums of a one-row sweep's first step, the edge's slots on top;
     # other nodes' factors are omitted, a positive constant on soft models
     plan = _Plan(*_Layout.for_gauge(m, x_bp, first=edge))
-    for t, w, out in plan.steps[0][0]:
-        np.matmul(t, w, out=out)
+    plan.read_first()
     tail, head = m.graph.endpoints[edge]
     s = plan.sums[0]  # h[bit_p, bit_q] on a self-edge, (a, b) on a normal one
     h00, h01, h10, h11 = (s if tail == head else np.outer(s[0], s[1])).ravel().tolist()

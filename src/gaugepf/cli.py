@@ -355,6 +355,7 @@ def cmd_contract(m: MultiGM, args: argparse.Namespace) -> int:
                     "converged": s.converged,
                     "start": "warm" if s.warm else "cold",
                     "sweeps": s.gauge.sweeps,
+                    "fallbacks": s.gauge.fallbacks,
                 }
                 for s in stages
             ],
@@ -388,7 +389,9 @@ def cmd_loops(m: MultiGM, args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     if not g.converged:
-        report["results"] = {"converged": False, "residual": g.residual}
+        report["results"] = {
+            "converged": False, "residual": g.residual, "fallbacks": g.fallbacks,
+        }
         _emit(report, args.json)
         return EXIT_NONCONVERGENCE
     msoft = m if m.is_soft else soften(m, cfg.soften_eps)
@@ -408,6 +411,7 @@ def cmd_loops(m: MultiGM, args: argparse.Namespace) -> int:
     z = partition_exact(m, guard=args.guard)
     report["results"] = {
         "converged": True,
+        "fallbacks": g.fallbacks,
         "loop_count": len(configs),
         "terms": sorted(terms, key=lambda t: -abs(t["term"])),
         "sum": total,
@@ -544,22 +548,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
             - np.eye(2)
         ).max()
         worst = max(worst, float(err))
-    merged: dict[str, tuple[bool, str]] = {
-        "orthogonality": (worst <= 1e-13, f"max entry err {worst:.2e}")
-    }
-
-    for m in models:
-        for name, (passed, detail) in _verify_one_model(m, cfg, rng).items():
-            if name in merged:
-                old_ok, old_detail = merged[name]
-                merged[name] = (old_ok and passed, detail if not passed else old_detail)
-            else:
-                merged[name] = (passed, detail)
-
-    checks = [
-        {"name": name, "passed": passed, "detail": detail}
-        for name, (passed, detail) in merged.items()
-    ]
+    # orthogonality involves no model, so its details have one entry; every
+    # other check's have one per model, None where it did not run on it
+    checks: list[dict[str, Any]] = [{
+        "name": "orthogonality", "passed": worst <= 1e-13,
+        "details": [f"max entry err {worst:.2e}"],
+    }]
+    runs = [_verify_one_model(m, cfg, rng) for m in models]
+    for name in dict.fromkeys(name for run in runs for name in run):
+        outcomes = [run.get(name) for run in runs]
+        checks.append({
+            "name": name,
+            "passed": all(o[0] for o in outcomes if o is not None),
+            "details": [None if o is None else o[1] for o in outcomes],
+        })
     all_passed = all(c["passed"] for c in checks)
     report = {
         "command": "verify",
@@ -571,7 +573,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _emit(report, args.json)
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
-        print(f"[{status}] {c['name']}: {c['detail']}", file=sys.stderr)
+        details = "; ".join("not run" if d is None else d for d in c["details"])
+        print(f"[{status}] {c['name']}: {details}", file=sys.stderr)
     return EXIT_OK if all_passed else EXIT_INVARIANT
 
 

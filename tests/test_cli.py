@@ -381,6 +381,18 @@ class TestCmdContract:
         assert all(s["sweeps"] > 0 for s in stages[:-1])
         assert stages[-1]["sweeps"] == 0
 
+    def test_bp_sequence_reports_fallbacks(self, capsys, tmp_path):
+        """Stage 0 of the 2x2 all-ones permanent falls back on every restart;
+        the warm stages have no damped phase to fall back to."""
+        path = tmp_path / "perm.json"
+        path.write_text(serialize_model(permanent_model(np.ones((2, 2)))))
+        code, report, _ = run(
+            capsys, ["contract", str(path), "--mode", "bp-sequence", "--restarts", "2"]
+        )
+        assert code == EXIT_OK
+        stages = report["results"]["stages"]
+        assert [s["fallbacks"] for s in stages] == [2] + [0] * (len(stages) - 1)
+
     def test_id_order(self, capsys, tmp_path, triangle_model):
         path = tmp_path / "tri.json"
         path.write_text(serialize_model(triangle_model))
@@ -423,6 +435,26 @@ class TestCmdLoops:
              "--restarts", "2"],
         )
         assert code == EXIT_NONCONVERGENCE
+
+    def test_fallbacks_reported(self, capsys, tmp_path, two_node_file, loopy_file):
+        _, report, _ = run(capsys, ["loops", two_node_file, "--restarts", "2"])
+        assert report["results"]["fallbacks"] == 0
+        path = tmp_path / "perm.json"
+        path.write_text(serialize_model(permanent_model(np.ones((2, 2)))))
+        code, report, _ = run(capsys, ["loops", str(path), "--restarts", "2"])
+        assert code == EXIT_OK
+        assert report["results"]["fallbacks"] == 2
+        # an unconverged solve reports them too
+        code, report, _ = run(
+            capsys,
+            ["loops", loopy_file, "--tol", "1e-30", "--max-sweeps", "3",
+             "--restarts", "2"],
+        )
+        assert code == EXIT_NONCONVERGENCE
+        assert report["results"] == {
+            "converged": False, "residual": report["results"]["residual"],
+            "fallbacks": 2,
+        }
 
     @pytest.mark.parametrize(
         "make",
@@ -527,8 +559,37 @@ class TestCmdVerify:
         # the report reads as it did with a fresh brute-force pass for loop_sum
         zs = real(msoft)
         assert zs == z
-        detail = {c["name"]: c["detail"] for c in report["checks"]}["loop_sum"]
-        assert detail == f"rel err {gaugepf.cli._rel_err(total, zs):.2e}"
+        details = {c["name"]: c["details"] for c in report["checks"]}["loop_sum"]
+        assert details == [f"rel err {gaugepf.cli._rel_err(total, zs):.2e}"]
+
+    def test_details_kept_per_model(self, capsys, monkeypatch):
+        """A check that fails on the first of two models keeps both models'
+        details, in model order."""
+        real_sum = gaugepf.loops.loop_series_sum
+        calls = []
+
+        def off_on_first(m, *args, **kwargs):
+            calls.append(m)
+            total = real_sum(m, *args, **kwargs)
+            return 2.0 * total if len(calls) == 1 else total
+
+        monkeypatch.setattr(gaugepf.loops, "loop_series_sum", off_on_first)
+        code = main(
+            ["verify", "--random", "2", "--edges", "5", "--seed", "7", "--restarts", "4"]
+        )
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == EXIT_INVARIANT
+        assert report["all_passed"] is False
+        checks = {c["name"]: c for c in report["checks"]}
+        loop_sum = checks["loop_sum"]
+        assert loop_sum["passed"] is False
+        first, second = loop_sum["details"]
+        assert first == "rel err 1.00e+00"
+        assert float(second.removeprefix("rel err ")) <= 1e-8
+        assert len(checks.pop("orthogonality")["details"]) == 1
+        assert all(len(c["details"]) == 2 for c in checks.values())
+        assert f"[FAIL] loop_sum: {first}; {second}" in captured.err
 
     def test_tree_corpus_exactness(self, capsys, tmp_path, rng):
         from gaugepf.families import random_tree_model

@@ -1,13 +1,13 @@
-"""The last-edge residual bound that lets the solver skip its residual pass.
+"""The first-edge residual bound that lets the solver skip its residual pass.
 
-After a sweep, ``bp._unconverged`` reads the chain sums of the sweep's last
-edge and writes, per restart, the residual on that edge's two darts into
-the plan's ``bound`` buffer.  It must be the residual pass's value on those
-darts, hence a lower bound on the row's residual, whether the last edge is
-a normal edge or a self-edge.  Skipping the pass when every row's bound is
-above the tolerance must change no result: the solver with the bound
-switched off (the full pass after every sweep) is the reference, bit for
-bit.
+After a sweep, ``bp._unconverged`` reads the chain sums of the sweep's first
+edge at the new weight vectors and writes, per restart, the residual on that
+edge's two darts into the plan's ``bound`` buffer.  It must be the residual
+pass's value on those darts, hence a lower bound on the row's residual,
+whether the first edge is a normal edge or a self-edge.  Skipping the pass
+when every row's bound is above the tolerance must change no result: the
+solver with the bound switched off (the full pass after every sweep) is the
+reference, bit for bit.
 """
 
 import numpy as np
@@ -36,32 +36,32 @@ REL = 1e-12
 
 
 @st.composite
-def last_edge_models(draw, self_last):
-    """A random soft multigraph model whose sorted last edge ``z`` is a
+def first_edge_models(draw, self_first):
+    """A random soft multigraph model whose sorted first edge ``a`` is a
     self-edge or a normal edge; the other edges may be either, and parallel."""
-    n_nodes = draw(st.integers(1 if self_last else 2, 4))
+    n_nodes = draw(st.integers(1 if self_first else 2, 4))
     nodes = [f"n{i}" for i in range(n_nodes)]
     node = st.sampled_from(nodes)
     others = draw(st.lists(st.tuples(node, node), max_size=5))
     tail = draw(node)
-    head = tail if self_last else draw(node.filter(lambda a: a != tail))
-    edges = [(f"e{i}", t, h) for i, (t, h) in enumerate(others)] + [("z", tail, head)]
+    head = tail if self_first else draw(node.filter(lambda a: a != tail))
+    edges = [("a", tail, head)] + [(f"e{i}", t, h) for i, (t, h) in enumerate(others)]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return attach_random_factors(MultiGraph.build(nodes, edges), rng)
 
 
 @given(
-    self_last=st.booleans(),
+    self_first=st.booleans(),
     data=st.data(),
     rows=st.integers(1, 4),
     sweeps=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=80, deadline=None)
-def test_bound_is_last_edge_residual(self_last, data, rows, sweeps, seed):
-    m = data.draw(last_edge_models(self_last))
+def test_bound_is_first_edge_residual(self_first, data, rows, sweeps, seed):
+    m = data.draw(first_edge_models(self_first))
     lay = bp_mod._Layout.of(m, sorted(m.graph.edges))
-    assert (lay.steps[-1][0] == lay.steps[-1][1]) == self_last
+    assert (lay.steps[0][0] == lay.steps[0][1]) == self_first
     shape = (len(lay.darts), rows)
     x = np.exp(np.random.default_rng(seed).uniform(np.log(0.25), np.log(4.0), shape))
     plan = bp_mod._Plan(lay, x)
@@ -75,12 +75,12 @@ def test_bound_is_last_edge_residual(self_last, data, rows, sweeps, seed):
     r, *_ = bp_mod._residual_parts(lay, x, plan.mono, plan.weighted)
     assert np.all(bound <= r * (1.0 + REL))
     _, grad, coloring, _ = bp_mod._residual_parts(lay, x, plan.mono)
-    last = np.maximum(np.abs(grad[-2:]), coloring[-2:]).max(axis=0)
-    np.testing.assert_allclose(bound, last, rtol=1e-9)
+    first = np.maximum(np.abs(grad[:2]), coloring[:2]).max(axis=0)
+    np.testing.assert_allclose(bound, first, rtol=1e-9)
     # the pass is never skipped when it would stop a row, nor when a row's
-    # last-edge residual meets the tolerance (the margin is at least 1)
+    # first-edge residual meets the tolerance (the margin is at least 1)
     assert not bp_mod._unconverged(plan, r.min())
-    assert not bp_mod._unconverged(plan, last.min())
+    assert not bp_mod._unconverged(plan, first.min())
 
 
 # -- skipping the pass changes no result ------------------------------------------
@@ -138,8 +138,8 @@ def test_skipping_matches_full_pass_with_clamp_hits(monkeypatch):
 
 
 def test_residual_pass_runs_on_a_minority_of_sweeps(monkeypatch):
-    """On the damped solve: a full step leaves the last edge exactly
-    stationary, so after an undamped sweep the bound is 0 and the pass runs."""
+    """On the damped solve and on the undamped one: the first edge's bound
+    reads its residual after damped and full steps alike."""
     m = LOOPY_MODELS["loopy_9"]()
     lay = bp_mod._Layout.of(m, sorted(m.graph.edges))
     shape = (len(lay.darts), 1)
@@ -157,7 +157,10 @@ def test_residual_pass_runs_on_a_minority_of_sweeps(monkeypatch):
 
     monkeypatch.setattr(bp_mod, "_sweep", sweep)
     monkeypatch.setattr(bp_mod, "_residual_parts", residual_pass)
-    ((_, _, _, sweeps, converged, _),) = bp_mod._lockstep(lay, x0, SolverConfig())
-    assert converged
-    assert counts["sweeps"] == sweeps >= 30
-    assert counts["passes"] < counts["sweeps"] / 2
+    for damping, least in ((0.5, 30), (0.0, 10)):
+        counts.update(sweeps=0, passes=0)
+        cfg = SolverConfig(damping=damping)
+        ((_, _, _, sweeps, converged, _),) = bp_mod._lockstep(lay, x0, cfg)
+        assert converged
+        assert counts["sweeps"] == sweeps >= least
+        assert counts["passes"] < counts["sweeps"] / 2
