@@ -569,9 +569,10 @@ def _unconverged(plan: _Plan, tol: float) -> bool:
     ``|mean - beta| / beta``, so the larger of the two is ``|mean - beta| /
     min(x, beta)``: the residual pass's value on that dart, a lower bound on
     its row's.  The larger over the two darts goes into ``plan.bound``; a NaN
-    bound counts as possibly converged.  The first edge is the one whose
-    residual the rest of the sweep moved: a full step leaves the last edge
-    exactly stationary, so its bound would read 0 after every undamped sweep.
+    bound counts as possibly converged.  The first edge rather than the
+    last: a full step leaves the last edge exactly stationary, so its bound
+    would read 0 after every undamped sweep, while every later step of the
+    sweep moves the first edge's residual.
     """
     plan.read_first()
     x, ends, mean, diff, beta = plan.first, plan.ends, plan.mean, plan.diff, plan.beta
