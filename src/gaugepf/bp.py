@@ -514,12 +514,13 @@ def _sweep(plan: _Plan, cfg: SolverConfig) -> None:
     endpoints' chains, which then fold its slots in under the new values.
     On a normal edge the quadratic factorises, ``h_pq = a_p b_q``, and the
     stationary pair is the message ratio ``(b1 / b0, a1 / a0)``; a
-    self-edge's 2x2 block takes the general closed form.
+    self-edge's 2x2 block takes the general closed form.  Without damping
+    the new pair is written straight into ``x``.
     """
     rows = plan.x.shape[1]
     sums, step, lowest = plan.sums, plan.step, plan.lowest
     h = sums.reshape(rows, 4).T  # a self-edge's h00, h01, h10, h11
-    ratio_out, linear = step.T, lowest.reshape(rows, 4).T[1:3]
+    linear = lowest.reshape(rows, 4).T[1:3]
     keep_old, scale = cfg.damping, 1.0 - cfg.damping
     lo, hi = _CLAMP
     # the running minimum of the linear coefficients: on a normal edge
@@ -530,15 +531,18 @@ def _sweep(plan: _Plan, cfg: SolverConfig) -> None:
         for reads, ratio, pair, folds in plan.steps:
             for t, w, out in reads:
                 np.matmul(t, w, out=out)
+            new = step if keep_old else pair  # a full step writes x directly
             if ratio is None:
                 np.fmin(linear, h[1:3], out=linear)
-                _pair_update(h, step, 0.5 * scale)
+                _pair_update(h, new, 0.5 * scale)
             else:
                 np.fmin(lowest, sums, out=lowest)
-                np.divide(*ratio, out=ratio_out)
-                step *= scale
-            pair *= keep_old
-            pair += step
+                np.divide(*ratio, out=new.T)
+                if keep_old:
+                    step *= scale
+            if keep_old:
+                pair *= keep_old
+                pair += step
             np.maximum(pair, lo, out=pair)
             np.minimum(pair, hi, out=pair)
             for top, w, bottom, out in folds:

@@ -15,8 +15,15 @@ edge bits that is the same in every block.  A block's weights are viewed as
 a grid with one length-2 axis per edge bit 8-15 (highest first) and a last
 axis for edge bits 0-7.  The plan keeps each node's low part on that grid,
 with length 1 on every axis the node does not read; per block, the node's
-table, shifted by its offset, is gathered through its grid and broadcast
-into the block's weights.
+table, shifted by its offset, is gathered through its grid.  The node-order
+product of the gathered values is carried on the running shape, the
+broadcast of the grids seen so far, so the first nodes' products run over
+only the edge bits they read, and only the products after the shape
+reaches the full block run over all ``2**16`` configurations.
+
+``contract_model`` reads tables as C-order views, whose axes hold the
+variables last first; its merged tables come out in the ``FactorTable``
+layout without a transposed copy.
 """
 
 from __future__ import annotations
@@ -160,15 +167,23 @@ class _BlockPlan:
     """Per-model set-up of the brute-force enumeration.
 
     ``nodes`` holds, per node in node order, its table, its grid of table
-    index parts from edge bits 0-15, and the ``(edge bit, slot)`` pairs of
-    edge bits 16 and up.  A grid has one axis per edge bit 8-15 of the
-    model, highest bit first, and a last axis for edge bits 0-7; it has
-    length 1 on the axes of bits the node does not read.  ``weights`` is
-    one block's weights on the full grid shape, reused by every block.
+    index parts from edge bits 0-15, the ``(edge bit, slot)`` pairs of edge
+    bits 16 and up, and where its running product goes.  A grid has one
+    axis per edge bit 8-15 of the model, highest bit first, and a last axis
+    for edge bits 0-7; it has length 1 on the axes of bits the node does
+    not read.  A node's running shape is the broadcast of its grid's shape
+    with those of the nodes before it, and its output is ``None`` while
+    that shape stays the previous node's, else a buffer view of the new
+    shape.  The views alternate, from the last backwards, between a
+    full-block buffer and a second buffer, so a product never writes the
+    buffer it reads; the second holds only shapes short of the full block,
+    so at most half a block.  ``size`` is the block's configuration count.
     """
 
-    nodes: list[tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]]
-    weights: np.ndarray
+    nodes: list[
+        tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...], np.ndarray | None]
+    ]
+    size: int
 
 
 def _block_plan(m: MultiGM) -> _BlockPlan:
@@ -182,7 +197,7 @@ def _block_plan(m: MultiGM) -> _BlockPlan:
         axes = [1] * len(shape)
         axes[low_bits - 1 - p] = 2
         bits.append(np.arange(2, dtype=np.intp).reshape(axes))
-    nodes = []
+    nodes, running = [], []
     for a in m.graph.nodes:
         f = m.factors[a]
         grid = np.zeros((1,) * len(shape), dtype=np.intp)
@@ -194,29 +209,44 @@ def _block_plan(m: MultiGM) -> _BlockPlan:
             else:
                 high.append((p, i))
         nodes.append((f.table, grid, tuple(high)))
-    return _BlockPlan(nodes, np.empty(shape))
+        running.append(np.broadcast_shapes(running[-1] if running else (), grid.shape))
+    grows = [k for k in range(1, len(nodes)) if running[k] != running[k - 1]]
+    outs = [None] * len(nodes)
+    # the last growth reaches the full block; the one before it, and every
+    # other one going back, goes to the second buffer
+    for ks in (grows[::-2], grows[-2::-2]):
+        if ks:
+            buffer = np.empty(max(math.prod(running[k]) for k in ks))
+            for k in ks:
+                outs[k] = buffer[: math.prod(running[k])].reshape(running[k])
+    return _BlockPlan([(*node, out) for node, out in zip(nodes, outs)], 1 << low_bits)
 
 
 def _block_weights(plan: _BlockPlan, lo: int) -> np.ndarray:
     """Weights of configurations ``lo, lo + 1, ...`` over one block.
 
     Each node's table, shifted by the offset of ``lo``'s high edge bits, is
-    gathered through the node's grid and broadcast into the weights: the
-    first node's values are copied in, each later node's multiply them, in
-    node order.  Returns a flat view of ``plan.weights``, overwritten by the
-    next call.
+    gathered through the node's grid.  The running product starts as the
+    first node's gathered values and takes each later node's in node order,
+    on the node's running shape: in place while that shape stays the same,
+    into the node's plan buffer when it grows.  Only the products after it
+    reaches the full block run over every configuration, and each entry
+    gets the same multiplications in the same order as on the full block.
+    Returns a flat array, a view of a plan buffer (overwritten by the next
+    call) unless the first node reads every low edge bit.
     """
-    w = plan.weights
-    if not plan.nodes:
-        w.fill(1.0)
-    for k, (table, grid, high) in enumerate(plan.nodes):
+    w = None
+    for table, grid, high, out in plan.nodes:
         offset = sum(((lo >> p) & 1) << i for p, i in high)
-        gathered = table[offset:][grid]
-        if k == 0:
-            np.copyto(w, gathered)
+        # each gather is a temporary that dies with its product
+        values = table[offset:]
+        if w is None:
+            w = values[grid]
+        elif out is None:
+            w *= values[grid]
         else:
-            w *= gathered
-    return w.reshape(-1)
+            w = np.multiply(w, values[grid], out=out)
+    return np.ones(1) if w is None else w.reshape(-1)
 
 
 def _scan(m: MultiGM, guard: int) -> tuple[float, float, int]:
@@ -227,7 +257,7 @@ def _scan(m: MultiGM, guard: int) -> tuple[float, float, int]:
     total = 0.0
     best = -math.inf
     best_idx = 0
-    for lo in range(0, n, plan.weights.size):
+    for lo in range(0, n, plan.size):
         w = _block_weights(plan, lo)
         total += float(w.sum())
         j = int(np.argmax(w))
@@ -244,8 +274,10 @@ def partition_exact(m: MultiGM, guard: int = DEFAULT_ENUMERATION_GUARD) -> float
     over blocks of ``2**16`` consecutive indices in ascending order, on the
     block plan of the module docstring: a block's weights are the products
     of its nodes' gathered table values, taken in node order starting from
-    the first node's value; numpy sums each block, and the block sums are
-    added one after another.  Results are reproducible bit-for-bit.
+    the first node's value (on the running shape, which changes where a
+    product is computed but not its operands or their order); numpy sums
+    each block, and the block sums are added one after another.  Results
+    are reproducible bit-for-bit.
     """
     return _scan(m, guard)[0]
 
@@ -292,12 +324,32 @@ def soften(m: MultiGM, eps: float) -> MultiGM:
     return MultiGM(graph=m.graph, factors=factors)
 
 
+def _at_bit(f: FactorTable, slots: Sequence[int], bit: int) -> np.ndarray:
+    """View of ``f``'s table with each of ``slots`` fixed at ``bit``.
+
+    The view is of the table's C-order shape ``(2,) * k``, whose axis ``i``
+    holds variable ``k - 1 - i``, so its axes hold the remaining variables
+    last first, and a product or sum of such views flattens in C order to
+    a table in the ``FactorTable`` layout.
+    """
+    k = len(f.variables)
+    index = [slice(None)] * k
+    for i in slots:
+        index[k - 1 - i] = bit
+    return f.table.reshape((2,) * k)[(*index, Ellipsis)]
+
+
 def contract_model(m: MultiGM, edge: EdgeId) -> MultiGM:
     """Sum the edge variable out of the model; the partition function is kept.
 
     For a normal edge the endpoint tables are merged into the surviving
     node's table over the union of their remaining variables (survivor's
-    first); for a self-edge the diagonal of the two slots is summed.
+    first); for a self-edge the diagonal of the two slots is summed.  Both
+    tables are read as C-order views (:func:`_at_bit`): the normal edge's
+    outer product of the absorbed node's part with the survivor's, and the
+    self-edge's diagonal sum, come out in the merged table's own layout, so
+    no transposed copy is made.  The bit-1 part of a normal edge is added
+    in place into the bit-0 part.
     """
     if edge not in m.graph.endpoints:
         raise GraphError(f"unknown edge {edge!r}")
@@ -308,29 +360,19 @@ def contract_model(m: MultiGM, edge: EdgeId) -> MultiGM:
     if tail == head:
         node = tail
         f = m.factors[node]
-        arr = f.as_array()
-        ip = f.variables.index(DirectedEdge(edge, True))
-        iq = f.variables.index(DirectedEdge(edge, False))
-        d0 = np.take(np.take(arr, 0, axis=max(ip, iq)), 0, axis=min(ip, iq))
-        d1 = np.take(np.take(arr, 1, axis=max(ip, iq)), 1, axis=min(ip, iq))
-        merged = d0 + d1
+        slots = [f.variables.index(DirectedEdge(edge, s)) for s in (True, False)]
+        merged = _at_bit(f, slots, 0) + _at_bit(f, slots, 1)
         new_vars = tuple(d for d in f.variables if d.edge != edge)
     else:
         node, absorbed = (tail, head) if tail <= head else (head, tail)
         fs, fa = m.factors[node], m.factors[absorbed]
-        slot_s = next(i for i, d in enumerate(fs.variables) if d.edge == edge)
-        slot_a = next(i for i, d in enumerate(fa.variables) if d.edge == edge)
-        parts = []
-        for v in (0, 1):
-            s_part = np.take(fs.as_array(), v, axis=slot_s)
-            a_part = np.take(fa.as_array(), v, axis=slot_a)
-            parts.append(np.multiply.outer(s_part, a_part))
-        merged = parts[0] + parts[1]
+        slot_s = [next(i for i, d in enumerate(fs.variables) if d.edge == edge)]
+        slot_a = [next(i for i, d in enumerate(fa.variables) if d.edge == edge)]
+        merged = np.multiply.outer(_at_bit(fa, slot_a, 0), _at_bit(fs, slot_s, 0))
+        merged += np.multiply.outer(_at_bit(fa, slot_a, 1), _at_bit(fs, slot_s, 1))
         new_vars = tuple(d for d in fs.variables if d.edge != edge) + tuple(
             d for d in fa.variables if d.edge != edge
         )
 
-    factors[node] = FactorTable.from_values(
-        node, new_vars, merged.reshape(-1, order="F")
-    )
+    factors[node] = FactorTable.from_values(node, new_vars, merged.reshape(-1))
     return MultiGM.from_tables(g2, factors)

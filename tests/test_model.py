@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gaugepf import (
+    DirectedEdge,
     EnumerationGuardError,
     FactorTable,
     ModelError,
@@ -13,11 +14,12 @@ from gaugepf import (
     MultiGraph,
     contract_model,
     evaluate_weight,
+    exact_summary,
     map_energy_exact,
     partition_exact,
     soften,
 )
-from gaugepf.families import random_soft_model
+from gaugepf.families import matching_model, random_soft_model
 
 from conftest import make_model
 
@@ -81,6 +83,19 @@ class TestPartitionExact:
         m = random_soft_model(rng, 5)
         with pytest.raises(EnumerationGuardError):
             partition_exact(m, guard=4)
+
+    def test_scratch_memory_bound(self):
+        """A pass keeps one full-block buffer (512 KiB) and at most one
+        half-block buffer beside the per-node grids, whatever the edge count."""
+        for seed in range(4):
+            m = random_soft_model(np.random.default_rng(seed), 22, n_nodes=10)
+            tracemalloc.start()
+            try:
+                exact_summary(m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2**20
 
 
 class TestMapEnergy:
@@ -176,6 +191,116 @@ class TestContractModel:
 
         with pytest.raises(GraphError):
             contract_model(two_node_model, "nope")
+
+    def test_matches_transposed_reference(self, rng):
+        """Self-edges at every ordered slot pair, parallel edges and 0-slot
+        results: every edge, then a whole normal-first sequence."""
+        models = [random_soft_model(rng, n, n_nodes=3) for n in (2, 4, 6, 7)]
+        models += [random_soft_model(rng, 5, n_nodes=1)]
+        for k in (3, 4):
+            for i, j in itertools.permutations(range(k), 2):
+                models.append(_self_edge_at(rng, k, i, j))
+        for m in models:
+            for e in m.graph.edges:
+                _assert_same_model(contract_model(m, e), _ref_contract_model(m, e))
+            for e in m.graph.normal_first_order():
+                c = contract_model(m, e)
+                _assert_same_model(c, _ref_contract_model(m, e))
+                m = c
+            assert all(f.table.size == 1 for f in m.factors.values())
+
+    def test_k44_sequence_matches_reference(self):
+        for e, stage, c in _k44_stages():
+            _assert_same_model(c, _ref_contract_model(stage, e))
+
+    def test_merged_table_memory(self):
+        """The bit-0 outer product is the merged table and the bit-1 one is
+        added into it, so no transposed copy or third table is made: a large
+        stage peaks at about two tables, the merged one beside the bit-1
+        part or beside ``from_values``' copy."""
+        for e, stage, _ in _k44_stages():
+            tail, head = stage.graph.endpoints[e]
+            node = min(tail, head)
+            tracemalloc.start()
+            try:
+                c = contract_model(stage, e)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if len(c.factors[node].variables) >= 14:
+                assert peak <= 3.25 * c.factors[node].table.nbytes, e
+
+
+def _ref_contract_model(m, edge):
+    """``contract_model`` as written before the C-order views: F-order
+    arrays, ``np.take`` and a transposed ``reshape(-1, order="F")`` copy."""
+    g2 = m.graph.contract_edge(edge)
+    tail, head = m.graph.endpoints[edge]
+    factors = {a: f for a, f in m.factors.items() if a in g2.incidence}
+    if tail == head:
+        node = tail
+        f = m.factors[node]
+        arr = f.as_array()
+        ip = f.variables.index(DirectedEdge(edge, True))
+        iq = f.variables.index(DirectedEdge(edge, False))
+        d0 = np.take(np.take(arr, 0, axis=max(ip, iq)), 0, axis=min(ip, iq))
+        d1 = np.take(np.take(arr, 1, axis=max(ip, iq)), 1, axis=min(ip, iq))
+        merged = d0 + d1
+        new_vars = tuple(d for d in f.variables if d.edge != edge)
+    else:
+        node, absorbed = (tail, head) if tail <= head else (head, tail)
+        fs, fa = m.factors[node], m.factors[absorbed]
+        slot_s = next(i for i, d in enumerate(fs.variables) if d.edge == edge)
+        slot_a = next(i for i, d in enumerate(fa.variables) if d.edge == edge)
+        parts = []
+        for v in (0, 1):
+            s_part = np.take(fs.as_array(), v, axis=slot_s)
+            a_part = np.take(fa.as_array(), v, axis=slot_a)
+            parts.append(np.multiply.outer(s_part, a_part))
+        merged = parts[0] + parts[1]
+        new_vars = tuple(d for d in fs.variables if d.edge != edge) + tuple(
+            d for d in fa.variables if d.edge != edge
+        )
+    factors[node] = FactorTable.from_values(
+        node, new_vars, merged.reshape(-1, order="F")
+    )
+    return MultiGM.from_tables(g2, factors)
+
+
+def _assert_same_model(got, want):
+    assert got.graph == want.graph
+    assert set(got.factors) == set(want.factors)
+    for a, f in want.factors.items():
+        assert got.factors[a].variables == f.variables
+        assert np.array_equal(got.factors[a].table, f.table), a
+
+
+def _self_edge_at(rng, k, i, j):
+    """Node ``a`` with ``k`` slots: self-edge ``s`` with its positive slot at
+    ``i`` and its negative one at ``j``, the others parallel edges to ``b``."""
+    parallel = [(f"p{n}", *("ab" if n % 2 else "ba")) for n in range(k - 2)]
+    g = MultiGraph.build(["a", "b"], [("s", "a", "a")] + parallel)
+    rest = [d for d in g.incidence["a"] if d.edge != "s"]
+    order = {i: DirectedEdge("s", True), j: DirectedEdge("s", False)}
+    incidence = dict(g.incidence)
+    incidence["a"] = tuple(order[n] if n in order else rest.pop(0) for n in range(k))
+    g = MultiGraph(g.nodes, g.edges, g.endpoints, incidence)
+    factors = {
+        a: FactorTable.from_values(a, ds, rng.uniform(0.5, 2.0, 2 ** len(ds)))
+        for a, ds in g.incidence.items()
+    }
+    return MultiGM.from_tables(g, factors)
+
+
+def _k44_stages():
+    """``(edge, stage, contracted)`` along the softened K_{4,4} monomer-dimer
+    normal-first sequence, each stage softened as the solver's sequence does."""
+    w = np.exp(np.random.default_rng(44).uniform(np.log(0.5), np.log(2.0), (4, 4)))
+    stage = soften(matching_model(4, 4, weights=w), 1e-12)
+    for e in stage.graph.normal_first_order():
+        c = contract_model(stage, e)
+        yield e, stage, c
+        stage = soften(c, 1e-12)
 
 
 class TestFactorTable:
