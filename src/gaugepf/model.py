@@ -73,11 +73,23 @@ class FactorTable:
         values: Iterable[float],
         allow_negative: bool = False,
     ) -> "FactorTable":
-        variables = tuple(variables)
         if isinstance(values, np.ndarray):
             table = np.array(values, dtype=float)  # one copy; the caller's stays as is
         else:
             table = np.asarray(list(values), dtype=float)
+        return cls._adopt(node, variables, table, allow_negative)
+
+    @classmethod
+    def _adopt(
+        cls,
+        node: NodeId,
+        variables: Sequence[DirectedEdge],
+        table: np.ndarray,
+        allow_negative: bool = False,
+    ) -> "FactorTable":
+        """Check a float array that no one else holds and make it the table
+        as it is, without a copy; it is made read-only."""
+        variables = tuple(variables)
         if table.shape != (2 ** len(variables),):
             raise ModelError(
                 f"factor at node {node!r}: table length {table.size} "
@@ -310,7 +322,11 @@ def map_energy_exact(
 
 
 def soften(m: MultiGM, eps: float) -> MultiGM:
-    """Clamp every table entry to at least ``eps`` times its table maximum."""
+    """Clamp every table entry to at least ``eps`` times its table maximum.
+
+    A table with no entry below that floor is kept as it is, the same
+    :class:`FactorTable` object.
+    """
     if eps <= 0:
         raise ModelError("softening epsilon must be positive")
     factors = {}
@@ -318,9 +334,9 @@ def soften(m: MultiGM, eps: float) -> MultiGM:
         top = float(f.table.max())
         if top <= 0:
             raise ModelError(f"factor at node {a!r} is identically zero")
-        factors[a] = FactorTable.from_values(
-            a, f.variables, np.maximum(f.table, eps * top)
-        )
+        floor = eps * top
+        factors[a] = (f if f.table.min() >= floor else FactorTable._adopt(
+            a, f.variables, np.maximum(f.table, floor)))
     return MultiGM(graph=m.graph, factors=factors)
 
 
@@ -349,7 +365,8 @@ def contract_model(m: MultiGM, edge: EdgeId) -> MultiGM:
     outer product of the absorbed node's part with the survivor's, and the
     self-edge's diagonal sum, come out in the merged table's own layout, so
     no transposed copy is made.  The bit-1 part of a normal edge is added
-    in place into the bit-0 part.
+    in place into the bit-0 part, and the merged array becomes the new
+    table without a copy.
     """
     if edge not in m.graph.endpoints:
         raise GraphError(f"unknown edge {edge!r}")
@@ -374,5 +391,6 @@ def contract_model(m: MultiGM, edge: EdgeId) -> MultiGM:
             d for d in fa.variables if d.edge != edge
         )
 
-    factors[node] = FactorTable.from_values(node, new_vars, merged.reshape(-1))
+    # the merged array is new and held nowhere else, so it becomes the table
+    factors[node] = FactorTable._adopt(node, new_vars, merged.reshape(-1))
     return MultiGM.from_tables(g2, factors)

@@ -14,6 +14,7 @@ from gaugepf import (
     bp_residual,
     bp_value,
     build,
+    contract_model,
     edge_pair_update,
     exact_contract_poly,
     gauge_function,
@@ -567,6 +568,42 @@ class TestContractSequence:
         for seq in self._convex_models():
             bp_contract_sequence(seq, seq.graph.normal_first_order(), FAST)
         assert solve_bp(m, FAST) == before
+
+    @staticmethod
+    def _verified_models():
+        models = [matching_model(a, b) for a, b in ((2, 3), (3, 3), (4, 4), (3, 5))]
+        for seed in range(8):
+            models.append(random_soft_model(np.random.default_rng(seed), 8, n_nodes=5))
+        return models
+
+    def test_normal_edge_stages_keep_their_start(self):
+        # a normal-edge contraction is BP's own elimination, so the previous
+        # stage's gauge on the surviving darts is a BP gauge of the next
+        # stage: the stage checks it and takes no sweep, while a stage after
+        # a self-edge contraction has to sweep
+        tol = FAST.tolerance
+        for m in self._verified_models():
+            stages = bp_contract_sequence(m, m.graph.normal_first_order(), FAST)
+            for prev, s in zip(stages, stages[1:]):
+                if not s.n_edges:
+                    continue
+                tail, head = prev.model.graph.endpoints[s.eliminated]
+                if tail == head:
+                    assert s.gauge.sweeps >= 1, s.index
+                    continue
+                assert s.warm and s.gauge.sweeps == 0, s.index
+                assert set(s.gauge.x) == set(s.model.graph.directed_edges())
+                assert s.gauge.x == {d: prev.gauge.x[d] for d in s.gauge.x}
+                assert s.gauge.residual <= tol
+                assert bp_mod._at_gauge(s.model, s.gauge.x)[0] <= tol
+                assert s.z_vbp == pytest.approx(gauge_function(s.model, s.gauge.x),
+                                                rel=1e-12, abs=0.0)
+                # the contraction keeps z(x); the stage model is then re-clamped
+                # to the soften floor, which on the matching models moves it by
+                # up to about 6e-12, so z(x) is compared before that clamp
+                before = contract_model(prev.model, s.eliminated)
+                assert gauge_function(before, s.gauge.x) == pytest.approx(
+                    prev.z_vbp, rel=1e-12, abs=0.0)
 
     @staticmethod
     def _assert_cold_fallbacks(stages):

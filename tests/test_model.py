@@ -134,6 +134,18 @@ class TestSoften:
         assert s.factors["a"].table[0] == 1e-12
         assert s.is_soft
 
+    def test_keeps_tables_with_nothing_to_clamp(self):
+        # an entry exactly at the floor is not clamped; one below it is
+        m = make_model(["a", "b"], [("e", "a", "b")],
+                       {"a": [1e-12, 1.0], "b": [0.0, 1.0]})
+        s = soften(m, 1e-12)
+        assert s.factors["a"] is m.factors["a"]
+        b = s.factors["b"]
+        assert b is not m.factors["b"] and b.table is not m.factors["b"].table
+        np.testing.assert_array_equal(b.table, [1e-12, 1.0])
+        np.testing.assert_array_equal(m.factors["b"].table, [0.0, 1.0])
+        assert not b.table.flags.writeable
+
     def test_all_zero_table(self):
         m = make_model(["a"], [("e", "a", "a")], {"a": [0, 0, 0, 0]})
         with pytest.raises(ModelError):
@@ -215,9 +227,9 @@ class TestContractModel:
 
     def test_merged_table_memory(self):
         """The bit-0 outer product is the merged table and the bit-1 one is
-        added into it, so no transposed copy or third table is made: a large
-        stage peaks at about two tables, the merged one beside the bit-1
-        part or beside ``from_values``' copy."""
+        added into it, so no transposed copy or third table is made, and the
+        merged array becomes the new table without a copy: a large stage
+        peaks at about two tables, the merged one beside the bit-1 part."""
         for e, stage, _ in _k44_stages():
             tail, head = stage.graph.endpoints[e]
             node = min(tail, head)
