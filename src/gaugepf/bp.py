@@ -731,9 +731,10 @@ def _warm_solve(
         res, _, _, totals = _residual_parts(lay, x0, lay.weight_vectors(x0))
         if res[0] <= cfg.tolerance:
             value = float(_values(totals, x0)[0])
-            return BPGauge(x={d: float(start[d]) for d in darts}, residual=float(res[0]),
-                           value=value, sweeps=0, converged=True,
-                           stationary_values=(value,))
+            return BPGauge(
+                x={d: float(start[d]) for d in darts}, residual=float(res[0]),
+                value=value, sweeps=0, converged=True, stationary_values=(value,),
+            )
     (g,) = _gauges(lay, darts, x0, cfg)
     return replace(g, stationary_values=(g.value,) if g.converged else ())
 

@@ -335,8 +335,9 @@ def soften(m: MultiGM, eps: float) -> MultiGM:
         if top <= 0:
             raise ModelError(f"factor at node {a!r} is identically zero")
         floor = eps * top
-        factors[a] = (f if f.table.min() >= floor else FactorTable._adopt(
-            a, f.variables, np.maximum(f.table, floor)))
+        if f.table.min() < floor:
+            f = FactorTable._adopt(a, f.variables, np.maximum(f.table, floor))
+        factors[a] = f
     return MultiGM(graph=m.graph, factors=factors)
 
 
