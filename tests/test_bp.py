@@ -569,20 +569,16 @@ class TestContractSequence:
             bp_contract_sequence(seq, seq.graph.normal_first_order(), FAST)
         assert solve_bp(m, FAST) == before
 
-    @staticmethod
-    def _verified_models():
-        models = [matching_model(a, b) for a, b in ((2, 3), (3, 3), (4, 4), (3, 5))]
-        for seed in range(8):
-            models.append(random_soft_model(np.random.default_rng(seed), 8, n_nodes=5))
-        return models
-
     def test_normal_edge_stages_keep_their_start(self):
         # a normal-edge contraction is BP's own elimination, so the previous
         # stage's gauge on the surviving darts is a BP gauge of the next
         # stage: the stage checks it and takes no sweep, while a stage after
         # a self-edge contraction has to sweep
         tol = FAST.tolerance
-        for m in self._verified_models():
+        models = [matching_model(a, b) for a, b in ((2, 3), (3, 3), (4, 4), (3, 5))]
+        for seed in range(8):
+            models.append(random_soft_model(np.random.default_rng(seed), 8, n_nodes=5))
+        for m in models:
             stages = bp_contract_sequence(m, m.graph.normal_first_order(), FAST)
             for prev, s in zip(stages, stages[1:]):
                 if not s.n_edges:
