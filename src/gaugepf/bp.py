@@ -1017,19 +1017,16 @@ def bp_contract_sequence(
     function.  Decreases along the sequence are reported by
     :func:`sequence_decreases`, not raised.
 
-    Every stage model is re-clamped to the ``soften_eps`` relative floor:
-    a no-op for generic soft tables, but it stops near-hard entries from
-    compounding toward underflow across repeated table merges.  Each
-    re-clamp moves the stage partition function by at most
-    ``(1 + eps)**nodes`` relative, far inside the monotonicity slack.
+    Later stage models are exact contractions of the softened one, still
+    strictly positive, since contraction only adds and multiplies; so the
+    final stage's value is the softened model's exact ``Z``.
     """
     if sorted(order) != sorted(m.graph.edges):
         raise GraphError("order must list every edge exactly once")
     stages = []
-    current = m
+    current = soften(m, cfg.soften_eps)
     normal = False  # whether the last contraction was of a normal edge
     for i in range(len(order) + 1):
-        current = soften(current, cfg.soften_eps)
         warm = False
         if stages and current.graph.edges:
             prev = stages[-1].gauge

@@ -342,7 +342,7 @@ def cmd_contract(m: MultiGM, args: argparse.Namespace) -> int:
     else:
         cfg = _solver_config(args)
         stages = bp_mod.bp_contract_sequence(m, order, cfg)
-        decreases = bp_mod.sequence_decreases(stages, rel_slack=1e-9)
+        decreases = bp_mod.sequence_decreases(stages)
         results = {
             "mode": "bp-sequence",
             "order": order,

@@ -594,12 +594,32 @@ class TestContractSequence:
                 assert bp_mod._at_gauge(s.model, s.gauge.x)[0] <= tol
                 assert s.z_vbp == pytest.approx(gauge_function(s.model, s.gauge.x),
                                                 rel=1e-12, abs=0.0)
-                # the contraction keeps z(x); the stage model is then re-clamped
-                # to the soften floor, which on the matching models moves it by
-                # up to about 6e-12, so z(x) is compared before that clamp
+                # the contraction keeps z(x), and the stage model is exactly
+                # the previous one contracted
                 before = contract_model(prev.model, s.eliminated)
                 assert gauge_function(before, s.gauge.x) == pytest.approx(
                     prev.z_vbp, rel=1e-12, abs=0.0)
+
+    def test_stages_are_exact_contractions_of_the_softened_model(self):
+        # the model is softened once; every later stage is the previous one
+        # contracted, so the final stage is the softened model's exact Z
+        models = [matching_model(a, b) for a, b in ((3, 3), (4, 4), (3, 5))]
+        rng = np.random.default_rng(0)
+        models.append(permanent_model(np.exp(rng.uniform(-1.5, 1.5, (3, 3)))))
+        for m in models:
+            soft = soften(m, FAST.soften_eps)
+            stages = bp_contract_sequence(m, m.graph.normal_first_order(), FAST)
+            assert stages[-1].z_vbp == pytest.approx(partition_exact(soft),
+                                                     rel=1e-14, abs=0.0)
+            for prev, s in zip(stages, stages[1:]):
+                contracted = contract_model(prev.model, s.eliminated)
+                assert s.model.factors.keys() == contracted.factors.keys()
+                for a, f in s.model.factors.items():
+                    assert f.variables == contracted.factors[a].variables
+                    assert np.array_equal(f.table, contracted.factors[a].table)
+                tail, head = prev.model.graph.endpoints[s.eliminated]
+                if s.n_edges and tail != head and not s.gauge.sweeps:
+                    assert s.z_vbp == pytest.approx(prev.z_vbp, rel=1e-14, abs=0.0)
 
     @staticmethod
     def _assert_cold_fallbacks(stages):
