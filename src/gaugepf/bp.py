@@ -46,12 +46,13 @@ again at the gauge the sweep ends on, give that edge's residual exactly, a
 lower bound on the restart's, and while it exceeds the tolerance by a
 margin in every restart the pass is skipped, after damped and full steps
 alike.  The pass also holds every node's total ``h_a``, from which a
-restart's value ``z(x)`` is taken when it stops.  Every array a sweep
-writes belongs to a sweep plan (:class:`_Plan`) that a batch allocates
-once and rebuilds only when restarts retire, together with each edge
-step's views of it, so a normal edge's step is a fixed list of ufunc calls
-that allocate nothing, and neither do the bound and the clamp-hit count
-that follow each sweep.  Memory is ``O(rows * 2**k)`` for a ``k``-slot
+restart's value ``z(x)`` is taken when it stops.  Every array an edge
+step writes belongs to a sweep plan (:class:`_Plan`) that a batch
+allocates once and rebuilds only when restarts retire, together with each
+edge step's views of it, so a normal edge's step is a fixed list of ufunc
+calls that allocate nothing; the bound, the clamp-hit count and the
+weight vectors' gather, once a sweep on ``(2, rows)``-sized blocks, are
+plain numpy expressions.  Memory is ``O(rows * 2**k)`` for a ``k``-slot
 node; the restarts are split into batches that keep it bounded on large
 tables.  The single-gauge entry points are the same code on one column:
 ``_at_gauge`` checks a gauge and runs the residual pass, and
@@ -416,7 +417,7 @@ def _chain_operands(
 
 
 class _Plan:
-    """Every array one batch's sweeps write, and each edge step's views of them.
+    """Every array one batch's edge steps write, and each step's views of them.
 
     ``x`` is the batch's ``(darts, rows)`` gauge array, swept in place.  Per
     slot count the plan holds the weight vectors, rewritten from ``x`` once
@@ -428,52 +429,31 @@ class _Plan:
     sweep order, the ``matmul`` operands that fill ``sums``, the ratio's
     numerator and denominator (``None`` on a self-edge), the edge's
     ``(2, rows)`` block of ``x``, and each fold's two halves, weights and
-    output.  ``first`` is the first edge's ``(2, rows)`` block of ``x`` and
-    ``ends`` its per-dart sums ``[dart, bit, row]``, a view of ``sums`` on
-    a normal edge and a buffer of its own on a self-edge; :func:`_unconverged`
-    reads the first edge's chain sums again (:meth:`read_first`), then both,
-    and writes the per-row bound into ``bound``.  The remaining buffers are
-    scratch for that bound and for :meth:`at_bounds`.  A batch whose rows
-    change gets a new plan.
+    output.  :func:`_unconverged` reads the first edge's chain sums again
+    (:meth:`read_first`) and sets ``bound``, the last per-row bound.  A
+    batch whose rows change gets a new plan.
     """
 
     def __init__(self, lay: _Layout, x: np.ndarray) -> None:
         rows = x.shape[1]
         self.lay, self.x = lay, x
-        self.gathered = {k: np.empty((len(s), k, rows)) for k, s in lay.slots.items()}
         self.mono = {k: np.empty((len(s), rows, 1 << k)) for k, s in lay.slots.items()}
         self.weighted = {k: np.empty_like(v) for k, v in self.mono.items()}
         self.sums = np.empty((rows, 2, 2))
         self.step = np.empty((2, rows))
         self.lowest = np.empty((rows, 2, 2))
         self.steps = self._steps()
-        tail, head, *_ = lay.steps[0]
-        self.first, self.self_first = x[:2], tail == head  # the first edge's pair
-        self.ends = (np.empty((2, 2, rows)) if self.self_first
-                     else self.sums.transpose(1, 2, 0))
-        self.mean, self.diff = np.empty((2, rows)), np.empty((2, rows))
-        self.beta, self.bound = np.empty(rows), np.empty(rows)
-        self.flags = np.empty((2, *x.shape), dtype=bool)
-        self.hit = np.empty(rows, dtype=bool)
         self.weigh()
 
     def weigh(self) -> None:
         """Rewrite the weight vectors ``prod_j (1, x_j)`` from ``x``, in place."""
         for k, s in self.lay.slots.items():
-            w1 = np.take(self.x, s, axis=0, out=self.gathered[k])  # (n_k, k, rows)
-            monomials(w1.transpose(0, 2, 1), out=self.mono[k])
+            monomials(self.x[s].transpose(0, 2, 1), out=self.mono[k])
 
     def read_first(self) -> None:
         """The first edge's chain sums at the weight vectors, into ``sums``."""
         for t, w, out in self.steps[0][0]:
             np.matmul(t, w, out=out)
-
-    def at_bounds(self) -> np.ndarray:
-        """Per row, whether a gauge value lies on a ``_CLAMP`` bound (a plan buffer)."""
-        lo, hi = _CLAMP
-        np.less_equal(self.x, lo, out=self.flags[0])
-        np.greater_equal(self.x, hi, out=self.flags[1])
-        return np.logical_or.reduce(self.flags, axis=(0, 1), out=self.hit)
 
     def _steps(self) -> tuple:
         lay, x, sums = self.lay, self.x, self.sums
@@ -583,25 +563,17 @@ def _unconverged(plan: _Plan, tol: float) -> bool:
     sweep moves the first edge's residual.
     """
     plan.read_first()
-    x, ends, mean, diff, beta = plan.first, plan.ends, plan.mean, plan.diff, plan.beta
-    if plan.self_first:  # sum the 2x2 block h[bit_p, bit_q] over the other dart
-        h = plan.sums.transpose(1, 2, 0)
-        np.multiply(h[:, 1], x[1], out=ends[0])
-        ends[0] += h[:, 0]
-        np.multiply(h[1], x[0], out=ends[1])
-        ends[1] += h[0]
+    x = plan.x[:2]  # the first edge's pair
+    ends = plan.sums.transpose(1, 2, 0)  # [dart, bit, row] on a normal edge
+    tail, head, *_ = plan.lay.steps[0]
+    if tail == head:  # sum the 2x2 block h[bit_p, bit_q] over the other dart
+        ends = np.stack((ends[:, 1] * x[1] + ends[:, 0], ends[1] * x[0] + ends[0]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.multiply(ends[:, 1], x, out=mean)
-        np.add(mean, ends[:, 0], out=diff)
-        mean /= diff
-        np.multiply(x[0], x[1], out=beta)
-        np.add(beta, 1.0, out=diff[0])
-        beta /= diff[0]
-        np.subtract(mean, beta, out=diff)
-        np.abs(diff, out=diff)
-        np.minimum(x, beta, out=mean)
-        diff /= mean
-        np.maximum(diff[0], diff[1], out=plan.bound)
+        mean = ends[:, 1] * x
+        mean /= mean + ends[:, 0]
+        beta = x[0] * x[1]
+        beta /= beta + 1.0
+        plan.bound = (np.abs(mean - beta) / np.minimum(x, beta)).max(axis=0)
     return bool(plan.bound.min() > _MARGIN * tol)
 
 
@@ -630,7 +602,7 @@ def _lockstep(
     plan = _Plan(lay, x)
     for sweep in range(1, cfg.max_sweeps + 1):
         _sweep(plan, cfg)
-        hits += plan.at_bounds()
+        hits += ((x <= _CLAMP[0]) | (x >= _CLAMP[1])).any(axis=0)
         plan.weigh()
         if sweep < cfg.max_sweeps and _unconverged(plan, cfg.tolerance):
             continue
@@ -989,12 +961,15 @@ def bp_contract_sequence(
 ) -> list[ContractionStage]:
     """Re-solve BP after each exact contraction along ``order``.
 
-    The model is softened once up front if needed.  Stage 0 is solved by
-    :func:`solve_bp`.  Every later stage that still has edges is solved
-    warm: one restart started from the previous stage's gauge on the darts
-    that survive the contraction, which keep their ids.  That start is
-    deterministic, so the sequence stays reproducible, and the warm stage's
-    ``stationary_values`` holds its one value.  When the stage follows the
+    A hard model (one with a zero entry) is softened once up front with
+    ``cfg.soften_eps``, as :func:`solve_bp` softens it; a soft model is
+    contracted as given.  Stage 0 is solved by :func:`solve_bp`, so its
+    gauge and value are those of ``solve_bp(m, cfg)``.  Every later stage
+    that still has edges is solved warm: one restart started from the
+    previous stage's gauge on the darts that survive the contraction,
+    which keep their ids.  That start is deterministic, so the sequence
+    stays reproducible, and the warm stage's ``stationary_values`` holds
+    its one value.  When the stage follows the
     contraction of a normal edge, its start is checked first: BP's
     elimination of a normal edge is the exact one, so at a BP gauge the
     merged node's total is the two old totals' product over the edge's
@@ -1017,14 +992,15 @@ def bp_contract_sequence(
     function.  Decreases along the sequence are reported by
     :func:`sequence_decreases`, not raised.
 
-    Later stage models are exact contractions of the softened one, still
-    strictly positive, since contraction only adds and multiplies; so the
-    final stage's value is the softened model's exact ``Z``.
+    Later stage models are exact contractions of the (softened) model,
+    still strictly positive, since contraction only adds and multiplies; so
+    the final stage's value is that model's exact ``Z``: ``Z`` of ``m``
+    itself when ``m`` is soft.
     """
     if sorted(order) != sorted(m.graph.edges):
         raise GraphError("order must list every edge exactly once")
     stages = []
-    current = soften(m, cfg.soften_eps)
+    current = m if m.is_soft else soften(m, cfg.soften_eps)
     normal = False  # whether the last contraction was of a normal edge
     for i in range(len(order) + 1):
         warm = False

@@ -364,6 +364,7 @@ def cmd_contract(m: MultiGM, args: argparse.Namespace) -> int:
                 {"step": i, "before": a, "after": b} for i, a, b in decreases
             ],
             "final_Z": stages[-1].z_vbp,
+            "softened": not m.is_soft,
         }
         code = (
             EXIT_OK

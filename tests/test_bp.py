@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugepf import (
+    FactorTable,
     ModelError,
     bethe_free_energy,
     bp_contract_sequence,
@@ -620,6 +621,25 @@ class TestContractSequence:
                 tail, head = prev.model.graph.endpoints[s.eliminated]
                 if s.n_edges and tail != head and not s.gauge.sweeps:
                     assert s.z_vbp == pytest.approx(prev.z_vbp, rel=1e-14, abs=0.0)
+
+    def test_soft_model_is_contracted_as_given(self):
+        # an entry below soften_eps * max is kept on a soft model, as solve_bp
+        # keeps it, so the final stage is the model's own exact Z
+        for seed in range(3):
+            m = random_soft_model(np.random.default_rng(seed), 5, n_nodes=3)
+            a = m.graph.nodes[0]
+            f = m.factors[a]
+            table = f.table.copy()
+            table[0] = 1e-15 * table.max()
+            m = dataclasses.replace(m, factors={
+                **m.factors, a: FactorTable.from_values(a, f.variables, table)})
+            assert m.is_soft
+            assert soften(m, FAST.soften_eps).factors[a].table[0] > table[0]
+            stages = bp_contract_sequence(m, m.graph.normal_first_order(), FAST)
+            assert stages[0].model is m
+            assert stages[0].gauge == solve_bp(m, FAST)
+            assert stages[-1].z_vbp == pytest.approx(partition_exact(m),
+                                                     rel=1e-14, abs=0.0)
 
     @staticmethod
     def _assert_cold_fallbacks(stages):

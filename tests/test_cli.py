@@ -215,6 +215,13 @@ class TestCmdBP:
             capsys, ["bp", two_node_file, "--restarts", "2", "--max-sweeps", "5"]
         )
         assert report["results"]["clamped"] == 5
+        # each sweep ends on the lower bound of (10, 1e18), or on the upper one of (1e-18, 0.1)
+        for window in ((10.0, 1e18), (1e-18, 0.1)):
+            monkeypatch.setattr(gaugepf.bp, "_CLAMP", window)
+            _, report, _ = run(
+                capsys, ["bp", two_node_file, "--restarts", "2", "--max-sweeps", "5"]
+            )
+            assert report["results"]["clamped"] == 5
 
     def test_fallbacks_reported(self, capsys, tmp_path, two_node_file):
         _, report, _ = run(capsys, ["bp", two_node_file, "--restarts", "2"])
@@ -385,6 +392,17 @@ class TestCmdContract:
         assert len(sweeps) == 7
         assert sweeps[0] > 0 and sweeps[1:5] == [0] * 4 and sweeps[5] > 0
         assert sweeps[6] == 0
+
+    def test_bp_sequence_reports_softening(self, capsys, tmp_path, rng):
+        for m, softened in ((matching_model(2, 2), True),
+                            (random_soft_model(rng, 3, n_nodes=2), False)):
+            path = tmp_path / "model.json"
+            path.write_text(serialize_model(m))
+            code, report, _ = run(
+                capsys, ["contract", str(path), "--mode", "bp-sequence", "--restarts", "2"]
+            )
+            assert code == EXIT_OK
+            assert report["results"]["softened"] is softened
 
     def test_bp_sequence_reports_fallbacks(self, capsys, tmp_path):
         """Stage 0 of the 2x2 all-ones permanent falls back on every restart;
