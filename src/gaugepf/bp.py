@@ -60,13 +60,13 @@ tables.  The single-gauge entry points are the same code on one column:
 one-column sweep plan.  :func:`bp_contract_sequence` solves its first stage
 with restarts and each later one with a single restart started from the
 previous stage's gauge, falling back to restarts when that one does not
-converge or its value drops.  After a normal-edge contraction, which BP
-eliminates exactly (:func:`bp_normal_contract`), that start is already a BP
-gauge: the stage checks it with one residual pass and keeps it, unswept,
-when it is within the tolerance.  Otherwise the warm restart takes full,
-undamped steps, capped at the sweeps stage 0's chosen restart took, and has
-no damped phase: it starts next to its fixed point, and damping only slows
-it there.
+converge or its value drops.  A warm stage checks its start with one
+residual pass and keeps it, unswept, when it is within the tolerance; after
+a normal-edge contraction, which BP eliminates exactly
+(:func:`bp_normal_contract`), that start is already a BP gauge.  Otherwise
+the warm restart takes full, undamped steps, capped at the sweeps stage 0's
+chosen restart took, and has no damped phase: it starts next to its fixed
+point, and damping only slows it there.
 The direct Bethe minimizer that cross-checks the solver lives apart from
 it, in :mod:`gaugepf.bethe`.
 """
@@ -683,30 +683,26 @@ def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
     return out
 
 
-def _warm_solve(
-    m: MultiGM, start: GaugeVector, cfg: SolverConfig, check: bool = False
-) -> BPGauge:
+def _warm_solve(m: MultiGM, start: GaugeVector, cfg: SolverConfig) -> BPGauge:
     """One restart on a soft model with edges, from ``start``'s values on
     its darts; a converged result's stationary values are its own value.
 
     :func:`bp_contract_sequence` passes a ``cfg`` with ``damping=0`` and
     ``max_sweeps`` capped at stage 0's sweeps, so a warm stage takes full
     steps and gives up after no more sweeps than stage 0's cold solve took.
-    With ``check`` the start is checked first, by one residual pass: a start
-    within the tolerance is the result as it is, with 0 sweeps, and any
-    other is swept as without ``check``.
+    The start is checked first, by one residual pass: a start within the
+    tolerance is the result as it is, with 0 sweeps, and any other is swept.
     """
     darts = sorted(m.graph.directed_edges(), key=str)
     lay = _Layout.of(m, sorted(m.graph.edges))
     x0 = np.array([start[d] for d in lay.darts], dtype=float).reshape(-1, 1)
-    if check:
-        res, _, _, totals = _residual_parts(lay, x0, lay.weight_vectors(x0))
-        if res[0] <= cfg.tolerance:
-            value = float(_values(totals, x0)[0])
-            return BPGauge(
-                x={d: float(start[d]) for d in darts}, residual=float(res[0]),
-                value=value, sweeps=0, converged=True, stationary_values=(value,),
-            )
+    res, _, _, totals = _residual_parts(lay, x0, lay.weight_vectors(x0))
+    if res[0] <= cfg.tolerance:
+        value = float(_values(totals, x0)[0])
+        return BPGauge(
+            x={d: float(start[d]) for d in darts}, residual=float(res[0]),
+            value=value, sweeps=0, converged=True, stationary_values=(value,),
+        )
     (g,) = _gauges(lay, darts, x0, cfg)
     return replace(g, stationary_values=(g.value,) if g.converged else ())
 
@@ -964,28 +960,27 @@ def bp_contract_sequence(
     A hard model (one with a zero entry) is softened once up front with
     ``cfg.soften_eps``, as :func:`solve_bp` softens it; a soft model is
     contracted as given.  Stage 0 is solved by :func:`solve_bp`, so its
-    gauge and value are those of ``solve_bp(m, cfg)``.  Every later stage
-    that still has edges is solved warm: one restart started from the
-    previous stage's gauge on the darts that survive the contraction,
-    which keep their ids.  That start is deterministic, so the sequence
+    gauge and value are those of ``solve_bp(m, cfg)``, and every stage's
+    gauge is ``softened`` when ``m`` was.  Every later stage that still has
+    edges is solved warm: one restart started from the previous stage's
+    gauge on the darts that survive the contraction, which keep their ids.  That start is deterministic, so the sequence
     stays reproducible, and the warm stage's ``stationary_values`` holds
-    its one value.  When the stage follows the
-    contraction of a normal edge, its start is checked first: BP's
-    elimination of a normal edge is the exact one, so at a BP gauge the
-    merged node's total is the two old totals' product over the edge's
-    ``1 + x_p x_q``, every surviving dart keeps its tilted mean, and the
-    previous stage's BP gauge is one of this stage.  A start whose residual
+    its one value.  The start is checked first: a start whose residual
     pass reads within ``cfg.tolerance`` is the stage's gauge, with 0 sweeps
-    and the value of that pass; any other is swept.  After a self-edge
-    contraction the start is swept without the check, since the edge's
-    removal moves its node's stationary point.  The warm restart is the
-    corrector step of a continuation: it starts next to its fixed point, so
-    it takes full steps (``damping=0``) and gets no more sweeps than stage
-    0's chosen restart took, nor than ``cfg.max_sweeps``; ``cfg.damping``
-    applies to the damped phase of stage 0 and of the fallbacks only.  A
-    stage falls back to :func:`solve_bp`, the random restarts of ``cfg``,
-    when the warm restart does not converge within those sweeps or its
-    value lies below the previous stage's by more than
+    and the value of that pass; any other is swept.  After the contraction
+    of a normal edge the start is already a BP gauge: BP's elimination of a
+    normal edge is the exact one, so at a BP gauge the merged node's total
+    is the two old totals' product over the edge's ``1 + x_p x_q``, every
+    surviving dart keeps its tilted mean, and the previous stage's BP gauge
+    is one of this stage.  After a self-edge contraction the start is swept,
+    since the edge's removal moves its node's stationary point.  The warm
+    restart is the corrector step of a continuation: it starts next to its
+    fixed point, so it takes full steps (``damping=0``) and gets no more
+    sweeps than stage 0's chosen restart took, nor than ``cfg.max_sweeps``;
+    ``cfg.damping`` applies to the damped phase of stage 0 and of the
+    fallbacks only.  A stage falls back to :func:`solve_bp`, the random
+    restarts of ``cfg``, when the warm restart does not converge within those
+    sweeps or its value lies below the previous stage's by more than
     :func:`sequence_decreases`' default slack; on bi-stable families such a
     drop points to the wrong stationary point.
     The final stage has no edges left, so its value is the exact partition
@@ -1000,13 +995,13 @@ def bp_contract_sequence(
     if sorted(order) != sorted(m.graph.edges):
         raise GraphError("order must list every edge exactly once")
     stages = []
-    current = m if m.is_soft else soften(m, cfg.soften_eps)
-    normal = False  # whether the last contraction was of a normal edge
+    softened = not m.is_soft
+    current = soften(m, cfg.soften_eps) if softened else m
     for i in range(len(order) + 1):
         warm = False
         if stages and current.graph.edges:
             prev = stages[-1].gauge
-            g = _warm_solve(current, prev.x, warm_cfg, normal)
+            g = _warm_solve(current, prev.x, warm_cfg)
             warm = g.converged and g.value >= prev.value * (1.0 - _SLACK)
         if not warm:
             g = solve_bp(current, cfg)
@@ -1020,14 +1015,12 @@ def bp_contract_sequence(
                 n_edges=len(current.graph.edges),
                 z_vbp=g.value,
                 converged=g.converged,
-                gauge=g,
+                gauge=replace(g, softened=softened),
                 model=current,
                 warm=warm,
             )
         )
         if i < len(order):
-            tail, head = current.graph.endpoints[order[i]]
-            normal = tail != head
             current = contract_model(current, order[i])
     return stages
 

@@ -5,7 +5,8 @@ Reports carry no timestamps and use sorted keys, so a fixed seed and flags
 reproduce them byte for byte.  Exit codes: 0 success or informative,
 1 invariant failure, 2 solver non-convergence, 3 input error (a bad model
 file, a missing command, a flag value that does not parse or is out of
-range, or a model too large for ``verify``'s symbolic check), 4 a
+range, a flag the command does not take (``exact --seed 1``), or a model
+too large for ``verify``'s symbolic check), 4 a
 non-finite value in the report (then no report is printed).  A ratio to a
 brute-force ``Z`` of 0 is reported as ``null``.
 """
@@ -259,25 +260,21 @@ def _gauge_doc(x: dict[DirectedEdge, float]) -> dict[str, float]:
 
 
 # -- commands ----------------------------------------------------------------
+# Each model command returns its report's ``results`` and the exit code;
+# :func:`main` wraps them in the report.
 
 
-def cmd_exact(m: MultiGM, args: argparse.Namespace) -> int:
+def cmd_exact(m: MultiGM, args: argparse.Namespace) -> tuple[dict, int]:
     z, energy, argmax = exact_summary(m, guard=args.guard)
-    report = {
-        "command": "exact",
-        "model_digest": model_digest(m),
-        "results": {
-            "Z": z,
-            "map_energy": energy,
-            "argmax": "".join(str(b) for b in argmax),
-            "edge_order": list(m.graph.edges),
-        },
-    }
-    _emit(report, args.json)
-    return EXIT_OK
+    return {
+        "Z": z,
+        "map_energy": energy,
+        "argmax": "".join(str(b) for b in argmax),
+        "edge_order": list(m.graph.edges),
+    }, EXIT_OK
 
 
-def cmd_bp(m: MultiGM, args: argparse.Namespace) -> int:
+def cmd_bp(m: MultiGM, args: argparse.Namespace) -> tuple[dict, int]:
     cfg = _solver_config(args)
     g = bp_mod.solve_bp(m, cfg)
     msoft = m if m.is_soft else soften(m, cfg.soften_eps)
@@ -302,14 +299,7 @@ def cmd_bp(m: MultiGM, args: argparse.Namespace) -> int:
         results["Z"] = z
         results["ratio"] = g.value / z if z > 0 else None
         results["exact"] = bool(z > 0 and abs(g.value - z) <= 1e-6 * z)
-    report = {
-        "command": "bp",
-        "model_digest": model_digest(m),
-        "seed": args.seed,
-        "results": results,
-    }
-    _emit(report, args.json)
-    return EXIT_OK if g.converged else EXIT_NONCONVERGENCE
+    return results, EXIT_OK if g.converged else EXIT_NONCONVERGENCE
 
 
 def _resolve_order(m: MultiGM, choice: str) -> list[str]:
@@ -325,7 +315,7 @@ def _resolve_order(m: MultiGM, choice: str) -> list[str]:
     return order
 
 
-def cmd_contract(m: MultiGM, args: argparse.Namespace) -> int:
+def cmd_contract(m: MultiGM, args: argparse.Namespace) -> tuple[dict, int]:
     order = _resolve_order(m, args.order)
     if args.mode == "exact":
         z0 = partition_exact(m, guard=args.guard)
@@ -364,37 +354,23 @@ def cmd_contract(m: MultiGM, args: argparse.Namespace) -> int:
                 {"step": i, "before": a, "after": b} for i, a, b in decreases
             ],
             "final_Z": stages[-1].z_vbp,
-            "softened": not m.is_soft,
+            "softened": stages[0].gauge.softened,
         }
         code = (
             EXIT_OK
             if all(s.converged for s in stages)
             else EXIT_NONCONVERGENCE
         )
-    report = {
-        "command": "contract",
-        "model_digest": model_digest(m),
-        "seed": args.seed,
-        "results": results,
-    }
-    _emit(report, args.json)
-    return code
+    return results, code
 
 
-def cmd_loops(m: MultiGM, args: argparse.Namespace) -> int:
+def cmd_loops(m: MultiGM, args: argparse.Namespace) -> tuple[dict, int]:
     cfg = _solver_config(args)
     g = bp_mod.solve_bp(m, cfg)
-    report: dict[str, Any] = {
-        "command": "loops",
-        "model_digest": model_digest(m),
-        "seed": args.seed,
-    }
     if not g.converged:
-        report["results"] = {
+        return {
             "converged": False, "residual": g.residual, "fallbacks": g.fallbacks,
-        }
-        _emit(report, args.json)
-        return EXIT_NONCONVERGENCE
+        }, EXIT_NONCONVERGENCE
     msoft = m if m.is_soft else soften(m, cfg.soften_eps)
     configs = loops_mod.enumerate_generalized_loops(m.graph, guard=args.guard)
     terms = [
@@ -410,7 +386,7 @@ def cmd_loops(m: MultiGM, args: argparse.Namespace) -> int:
     # Z of the model as given, the sum of the softened one: on a hard model,
     # relative_error includes the softening bias
     z = partition_exact(m, guard=args.guard)
-    report["results"] = {
+    return {
         "converged": True,
         "fallbacks": g.fallbacks,
         "loop_count": len(configs),
@@ -418,9 +394,7 @@ def cmd_loops(m: MultiGM, args: argparse.Namespace) -> int:
         "sum": total,
         "Z": z,
         "relative_error": abs(total - z) / z if z > 0 else None,
-    }
-    _emit(report, args.json)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 # -- verification suite -------------------------------------------------------
@@ -600,19 +574,21 @@ def build_parser() -> argparse.ArgumentParser:
                            "2*EDGES-slot table, whose solve can take tens of seconds")
         else:
             p.add_argument("model", help="model JSON file")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--damping", type=float, default=0.5,
-                       help="damping of the fallback solve: a random restart takes "
-                       "full steps first and runs damped only if those do not "
-                       "converge; 0 gives one undamped solve")
-        p.add_argument("--restarts", type=int, default=16)
-        p.add_argument("--max-sweeps", type=int, default=10_000,
-                       help="sweeps per solve phase: the undamped phase takes at "
-                       f"most min({bp_mod._UNDAMPED_SWEEPS}, MAX_SWEEPS), the damped "
-                       "fallback MAX_SWEEPS")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--soften", type=float, default=1e-12)
-        p.add_argument("--guard", type=int, default=DEFAULT_ENUMERATION_GUARD)
+        if name != "exact":  # the solver's flags
+            p.add_argument("--tol", type=float, default=1e-10)
+            p.add_argument("--damping", type=float, default=0.5,
+                           help="damping of the fallback solve: a random restart "
+                           "takes full steps first and runs damped only if those "
+                           "do not converge; 0 gives one undamped solve")
+            p.add_argument("--restarts", type=int, default=16)
+            p.add_argument("--max-sweeps", type=int, default=10_000,
+                           help="sweeps per solve phase: the undamped phase takes "
+                           f"at most min({bp_mod._UNDAMPED_SWEEPS}, MAX_SWEEPS), "
+                           "the damped fallback MAX_SWEEPS")
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--soften", type=float, default=1e-12)
+        if name != "verify":
+            p.add_argument("--guard", type=int, default=DEFAULT_ENUMERATION_GUARD)
         p.add_argument("--json", metavar="PATH", help="also write the report here")
         if name == "contract":
             p.add_argument("--order", default="normal-first",
@@ -634,15 +610,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         m = load_model(args.model)
-        if args.command == "exact":
-            return cmd_exact(m, args)
-        if args.command == "bp":
-            return cmd_bp(m, args)
-        if args.command == "contract":
-            return cmd_contract(m, args)
-        if args.command == "loops":
-            return cmd_loops(m, args)
-        raise AssertionError(args.command)
+        # looked up per call, so a rebound ``cmd_*`` is the one that runs
+        results, code = globals()[f"cmd_{args.command}"](m, args)
+        report = {"command": args.command, "model_digest": model_digest(m),
+                  "results": results}
+        if "seed" in args:
+            report["seed"] = args.seed
+        _emit(report, args.json)
+        return code
     except (
         UsageError, ModelError, GraphError, bp_mod.ConfigError, poly_mod.PolyError
     ) as exc:

@@ -15,17 +15,16 @@ from typing import Sequence
 
 from .bp import NonConvergenceError, _at_gauge
 from .gauge import GaugeVector, edge_belief, gauge_function, slot_map
-from .model import Config, EnumerationGuardError, MultiGM
+from .model import DEFAULT_ENUMERATION_GUARD, Config, EnumerationGuardError, MultiGM
 from .multigraph import MultiGraph, NodeId
 
-DEFAULT_LOOP_GUARD = 24
 CONVERGENCE_THRESHOLD = 1e-6
 
 ColoredTables = dict[NodeId, list[float]]
 
 
 def enumerate_generalized_loops(
-    g: MultiGraph, guard: int = DEFAULT_LOOP_GUARD
+    g: MultiGraph, guard: int = DEFAULT_ENUMERATION_GUARD
 ) -> list[Config]:
     """All edge subsets whose per-node colored degree is never exactly one.
 
@@ -122,7 +121,7 @@ def loop_term(m: MultiGM, x_bp: GaugeVector, config: Sequence[int]) -> float:
 
 
 def loop_series_sum(
-    m: MultiGM, x_bp: GaugeVector, guard: int = DEFAULT_LOOP_GUARD
+    m: MultiGM, x_bp: GaugeVector, guard: int = DEFAULT_ENUMERATION_GUARD
 ) -> float:
     """Sum of all generalized-loop terms: the exact partition function."""
     tables, z_bp = _at_bp_gauge(m, x_bp)

@@ -622,6 +622,17 @@ class TestContractSequence:
                 if s.n_edges and tail != head and not s.gauge.sweeps:
                     assert s.z_vbp == pytest.approx(prev.z_vbp, rel=1e-14, abs=0.0)
 
+    def test_stage_gauges_state_the_softening(self):
+        # stage 0's gauge is solve_bp's on the model as given, softened flag
+        # included, and every later stage's gauge carries the same flag
+        cfg = SolverConfig(restarts=2)
+        hard = matching_model(2, 2)
+        soft = random_soft_model(np.random.default_rng(0), 4, n_nodes=3)
+        for m, softened in ((hard, True), (soft, False)):
+            stages = bp_contract_sequence(m, m.graph.normal_first_order(), cfg)
+            assert stages[0].gauge == solve_bp(m, cfg)
+            assert [s.gauge.softened for s in stages] == [softened] * len(stages)
+
     def test_soft_model_is_contracted_as_given(self):
         # an entry below soften_eps * max is kept on a soft model, as solve_bp
         # keeps it, so the final stage is the model's own exact Z
@@ -643,9 +654,11 @@ class TestContractSequence:
 
     @staticmethod
     def _assert_cold_fallbacks(stages):
+        # the stage models are contractions of the softened (hard) model, and
+        # every stage's gauge says it was softened
         assert not any(s.warm for s in stages)
         for s in stages:
-            assert s.gauge == solve_bp(s.model, FAST)
+            assert s.gauge == dataclasses.replace(solve_bp(s.model, FAST), softened=True)
 
     def test_unconverged_warm_restart_falls_back(self, monkeypatch):
         warm_solve = bp_mod._warm_solve

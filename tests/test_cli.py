@@ -300,6 +300,9 @@ def test_invalid_solver_flag_exit_three(capsys, two_node_file, flags):
         ["bp", "x.json", "--tol", "-1e-05"],
         [],
         ["bogus", "x.json"],
+        # each command takes only the flags it reads
+        ["exact", "x.json", "--seed", "1"],
+        ["verify", "--guard", "5"],
     ],
 )
 def test_unparsable_command_line_exit_three(capsys, argv):
@@ -340,6 +343,26 @@ def test_cached_parser_keeps_no_state(capsys, monkeypatch, two_node_file):
     assert seen[0]["restarts"] == 2
     assert seen[1] == vars(gaugepf.cli.build_parser().parse_args(["bp", two_node_file]))
     assert seen[1]["restarts"] == 16
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["bp", "--restarts", "2"],
+        ["contract", "--mode", "exact"],
+        ["contract", "--mode", "bp-sequence", "--restarts", "2"],
+        ["loops", "--restarts", "2"],
+        ["loops", "--restarts", "2", "--max-sweeps", "1"],
+    ],
+)
+def test_solver_command_envelope(capsys, loopy_file, flags):
+    # the exact report, which takes no --seed, is pinned in test_exact_blocks
+    code, report, _ = run(capsys, [flags[0], loopy_file, *flags[1:], "--seed", "7"])
+    assert code == (EXIT_NONCONVERGENCE if "--max-sweeps" in flags else EXIT_OK)
+    assert set(report) == {"command", "model_digest", "results", "seed"}
+    assert report["command"] == flags[0]
+    assert report["model_digest"] == gaugepf.cli.model_digest(load_model(loopy_file))
+    assert report["seed"] == 7
 
 
 class TestCmdContract:
