@@ -17,6 +17,7 @@ from .model import (
     exact_summary,
     map_energy_exact,
     partition_exact,
+    soft_model,
     soften,
 )
 from .gauge import (

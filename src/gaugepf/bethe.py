@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .model import FactorTable, MultiGM, soften
+from .model import FactorTable, MultiGM, soft_model
 from .multigraph import EdgeId, NodeId
 
 # edge marginals lie in [_DELTA, 1 - _DELTA]; per coordinate a _GRID-point
@@ -89,8 +89,7 @@ def minimize_bethe_direct(m: MultiGM, seed: int = 0) -> float:
     optimum and golden-section refines it.  The first restart starts from
     ``beta = 1/2``, the others from draws seeded by ``seed``.
     """
-    if not m.is_soft:
-        m = soften(m, 1e-12)
+    m = soft_model(m)
     edges = sorted(m.graph.edges)
     nodes = list(m.graph.nodes)
     rng = np.random.default_rng(seed)

@@ -89,7 +89,7 @@ from .gauge import (
     slot_sums,
 )
 from .bethe import _xlogx
-from .model import ModelError, MultiGM, contract_model, soften
+from .model import ModelError, MultiGM, contract_model, soft_model
 from .multigraph import DirectedEdge, EdgeId, GraphError, NodeId
 from .poly import FactoredGaugePoly, QuadCoeffs, exact_contract_poly
 
@@ -98,7 +98,7 @@ class DegenerateEdgeError(ModelError):
     """Closed-form edge update hit a zero linear coefficient.
 
     Happens only for hard (zero-containing) factors; soften the model
-    (``soften(m, 1e-12)`` or the solver's ``soften_eps``) to proceed.
+    (``soft_model(m)``, as :func:`solve_bp` does) to proceed.
     """
 
 
@@ -128,7 +128,8 @@ class SolverConfig:
     ``tolerance`` in up to ``max_sweeps`` sweeps.  The warm stages of
     :func:`bp_contract_sequence` take full steps only, capped at stage 0's
     sweeps.  Initial gauges are drawn log-uniformly from ``_INIT_RANGE``
-    per restart.
+    per restart.  No field sets the softening of a hard model: that floor
+    is fixed at ``model.SOFTEN_EPS`` (see :func:`model.soft_model`).
     """
 
     damping: float = 0.5
@@ -136,7 +137,6 @@ class SolverConfig:
     max_sweeps: int = 10_000
     restarts: int = 16
     seed: int = 0
-    soften_eps: float = 1e-12
 
     def __post_init__(self) -> None:
         for ok, name, rule in (
@@ -144,7 +144,6 @@ class SolverConfig:
             (0.0 < self.tolerance < math.inf, "tolerance", "be positive and finite"),
             (self.max_sweeps >= 1, "max_sweeps", "be at least 1"),
             (self.restarts >= 1, "restarts", "be at least 1"),
-            (0.0 < self.soften_eps < math.inf, "soften_eps", "be positive and finite"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must {rule}, got {getattr(self, name)!r}")
@@ -715,7 +714,9 @@ def _tied(a: float, b: float) -> bool:
 def solve_bp(m: MultiGM, cfg: SolverConfig = SolverConfig()) -> BPGauge:
     """Find a maximal BP gauge by Gauss-Seidel with restarts.
 
-    Auto-softens hard models with ``cfg.soften_eps``.  Each restart starts
+    Solves ``soft_model(m)``: a hard model is softened at ``SOFTEN_EPS``
+    and the result's ``softened`` says so; a soft one, such as a model the
+    caller has softened, is solved as given.  Each restart starts
     from a fresh log-uniform gauge and takes full steps; one that does not
     converge within ``min(cfg.max_sweeps, _UNDAMPED_SWEEPS)`` sweeps runs
     again from that gauge with ``cfg.damping`` (see :class:`SolverConfig`).
@@ -727,9 +728,9 @@ def solve_bp(m: MultiGM, cfg: SolverConfig = SolverConfig()) -> BPGauge:
     A result with ``converged=False`` reports the best residual reached -
     callers decide whether that is fatal.
     """
-    softened = not m.is_soft
-    if softened:
-        m = soften(m, cfg.soften_eps)
+    soft = soft_model(m)
+    softened = soft is not m
+    m = soft
 
     if not m.graph.edges:
         value = 1.0
@@ -957,11 +958,12 @@ def bp_contract_sequence(
 ) -> list[ContractionStage]:
     """Re-solve BP after each exact contraction along ``order``.
 
-    A hard model (one with a zero entry) is softened once up front with
-    ``cfg.soften_eps``, as :func:`solve_bp` softens it; a soft model is
-    contracted as given.  Stage 0 is solved by :func:`solve_bp`, so its
-    gauge and value are those of ``solve_bp(m, cfg)``, and every stage's
-    gauge is ``softened`` when ``m`` was.  Every later stage that still has
+    The model is made soft once up front by :func:`model.soft_model`, the
+    rule :func:`solve_bp` applies: a hard model (one with a zero entry) is
+    softened and a soft one is contracted as given.  Stage 0 is solved by
+    :func:`solve_bp`, so its gauge and value are those of
+    ``solve_bp(m, cfg)``, and every stage's gauge is ``softened`` when ``m``
+    was.  Every later stage that still has
     edges is solved warm: one restart started from the previous stage's
     gauge on the darts that survive the contraction, which keep their ids.  That start is deterministic, so the sequence
     stays reproducible, and the warm stage's ``stationary_values`` holds
@@ -995,8 +997,8 @@ def bp_contract_sequence(
     if sorted(order) != sorted(m.graph.edges):
         raise GraphError("order must list every edge exactly once")
     stages = []
-    softened = not m.is_soft
-    current = soften(m, cfg.soften_eps) if softened else m
+    current = soft_model(m)
+    softened = current is not m
     for i in range(len(order) + 1):
         warm = False
         if stages and current.graph.edges:

@@ -36,7 +36,7 @@ from .model import (
     contract_model,
     exact_summary,
     partition_exact,
-    soften,
+    soft_model,
 )
 from .multigraph import DirectedEdge, GraphError, MultiGraph
 
@@ -251,7 +251,6 @@ def _solver_config(args: argparse.Namespace) -> bp_mod.SolverConfig:
         max_sweeps=args.max_sweeps,
         restarts=args.restarts,
         seed=args.seed,
-        soften_eps=args.soften,
     )
 
 
@@ -276,14 +275,14 @@ def cmd_exact(m: MultiGM, args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_bp(m: MultiGM, args: argparse.Namespace) -> tuple[dict, int]:
     cfg = _solver_config(args)
-    g = bp_mod.solve_bp(m, cfg)
-    msoft = m if m.is_soft else soften(m, cfg.soften_eps)
+    msoft = soft_model(m)
+    g = bp_mod.solve_bp(msoft, cfg)
     results: dict[str, Any] = {
         "Z_vbp": g.value,
         "converged": g.converged,
         "residual": g.residual,
         "sweeps": g.sweeps,
-        "softened": g.softened,
+        "softened": msoft is not m,
         "clamped": g.clamped,
         "fallbacks": g.fallbacks,
         "gauge": _gauge_doc(g.x),
@@ -366,12 +365,12 @@ def cmd_contract(m: MultiGM, args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_loops(m: MultiGM, args: argparse.Namespace) -> tuple[dict, int]:
     cfg = _solver_config(args)
-    g = bp_mod.solve_bp(m, cfg)
+    msoft = soft_model(m)
+    g = bp_mod.solve_bp(msoft, cfg)
     if not g.converged:
         return {
             "converged": False, "residual": g.residual, "fallbacks": g.fallbacks,
         }, EXIT_NONCONVERGENCE
-    msoft = m if m.is_soft else soften(m, cfg.soften_eps)
     configs = loops_mod.enumerate_generalized_loops(m.graph, guard=args.guard)
     terms = [
         {
@@ -466,11 +465,11 @@ def _verify_one_model(
         _rel_err(scalar, z) <= 1e-10, f"rel err {_rel_err(scalar, z):.2e}"
     )
 
-    g = bp_mod.solve_bp(m, cfg)
+    msoft = soft_model(m)
+    g = bp_mod.solve_bp(msoft, cfg)
     out["solver_convergence"] = (g.converged, f"residual {g.residual:.2e}")
     if not g.converged:
         return out
-    msoft = m if m.is_soft else soften(m, cfg.soften_eps)
 
     worst = 0.0
     for a in msoft.graph.nodes:
@@ -586,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
                            f"at most min({bp_mod._UNDAMPED_SWEEPS}, MAX_SWEEPS), "
                            "the damped fallback MAX_SWEEPS")
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--soften", type=float, default=1e-12)
         if name != "verify":
             p.add_argument("--guard", type=int, default=DEFAULT_ENUMERATION_GUARD)
         p.add_argument("--json", metavar="PATH", help="also write the report here")

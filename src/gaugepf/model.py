@@ -38,6 +38,9 @@ from .multigraph import DirectedEdge, EdgeId, GraphError, MultiGraph, NodeId
 
 DEFAULT_ENUMERATION_GUARD = 24
 
+# the floor of :func:`soft_model`, relative to each table's maximum
+SOFTEN_EPS = 1e-12
+
 Config = tuple[int, ...]
 
 # brute force runs over blocks of 2**_BLOCK_BITS consecutive configurations
@@ -339,6 +342,17 @@ def soften(m: MultiGM, eps: float) -> MultiGM:
             f = FactorTable._adopt(a, f.variables, np.maximum(f.table, floor))
         factors[a] = f
     return MultiGM(graph=m.graph, factors=factors)
+
+
+def soft_model(m: MultiGM) -> MultiGM:
+    """``m`` itself when every entry is positive, else ``soften(m, SOFTEN_EPS)``.
+
+    The one rule by which the BP solver, its contraction sequences, the
+    command line and the direct Bethe minimizer make a hard model soft;
+    ``soft_model(m) is not m`` says that it did.  A soft model is taken as
+    given, even with entries below the floor.
+    """
+    return m if m.is_soft else soften(m, SOFTEN_EPS)
 
 
 def _at_bit(f: FactorTable, slots: Sequence[int], bit: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gaugepf import FactorTable, MultiGM, MultiGraph
+from gaugepf import FactorTable, MultiGM, MultiGraph, contract_model, soft_model
+from gaugepf.families import matching_model
 
 
 def make_model(nodes, edges, tables):
@@ -11,6 +12,26 @@ def make_model(nodes, edges, tables):
         a: FactorTable.from_values(a, g.incidence[a], tables[a]) for a in g.nodes
     }
     return MultiGM.from_tables(g, factors)
+
+
+def k44_stages():
+    """``(edge, stage)`` along the normal-first sequence of the K_{4,4}
+    monomer-dimer model with weights log-uniform in ``[1/2, 2]``, built as
+    ``bp_contract_sequence`` builds it: softened once by ``soft_model``,
+    then contracted exactly, ``edge`` being the one contracted next."""
+    w = np.exp(np.random.default_rng(44).uniform(np.log(0.5), np.log(2.0), (4, 4)))
+    stage = soft_model(matching_model(4, 4, weights=w))
+    for e in stage.graph.normal_first_order():
+        yield e, stage
+        stage = contract_model(stage, e)
+
+
+def k44_stage(slots):
+    """The first stage of :func:`k44_stages` whose largest node has ``slots`` slots."""
+    for _, stage in k44_stages():
+        if max(len(f.variables) for f in stage.factors.values()) == slots:
+            return stage
+    raise AssertionError(f"no {slots}-slot stage")
 
 
 @pytest.fixture

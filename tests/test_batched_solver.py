@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import gaugepf.bp as bp_mod
-from gaugepf import soften
+from gaugepf import soft_model
 from gaugepf.bp import SolverConfig, _restarts, solve_bp
 from gaugepf.families import matching_model, random_soft_model, random_tree_model
 from gaugepf.multigraph import DirectedEdge
@@ -162,12 +162,8 @@ MODELS = {
 }
 
 
-def _soft(m, cfg):
-    return m if m.is_soft else soften(m, cfg.soften_eps)
-
-
 def _assert_same_runs(m, cfg):
-    soft = _soft(m, cfg)
+    soft = soft_model(m)
     ref = reference_restarts(soft, cfg)
     new = _restarts(soft, cfg)
     assert [r[4] for r in ref] == [g.converged for g in new]

@@ -25,6 +25,7 @@ from gaugepf import (
     partition_exact,
     saddle_check,
     sequence_decreases,
+    soft_model,
     soften,
     solve_bp,
 )
@@ -45,6 +46,7 @@ from gaugepf.families import (
     random_tree_model,
 )
 from gaugepf.gauge import h_node
+from gaugepf.model import SOFTEN_EPS
 from gaugepf.multigraph import DirectedEdge as D
 from gaugepf.poly import QuadCoeffs, quad_coeffs
 
@@ -100,7 +102,6 @@ class TestResidual:
     [
         {"damping": -0.1}, {"damping": 1.0}, {"tolerance": 0.0},
         {"tolerance": math.inf}, {"max_sweeps": 0}, {"restarts": 0},
-        {"soften_eps": 0.0},
     ],
 )
 def test_solver_config_rejects(field):
@@ -608,7 +609,7 @@ class TestContractSequence:
         rng = np.random.default_rng(0)
         models.append(permanent_model(np.exp(rng.uniform(-1.5, 1.5, (3, 3)))))
         for m in models:
-            soft = soften(m, FAST.soften_eps)
+            soft = soft_model(m)
             stages = bp_contract_sequence(m, m.graph.normal_first_order(), FAST)
             assert stages[-1].z_vbp == pytest.approx(partition_exact(soft),
                                                      rel=1e-14, abs=0.0)
@@ -634,8 +635,8 @@ class TestContractSequence:
             assert [s.gauge.softened for s in stages] == [softened] * len(stages)
 
     def test_soft_model_is_contracted_as_given(self):
-        # an entry below soften_eps * max is kept on a soft model, as solve_bp
-        # keeps it, so the final stage is the model's own exact Z
+        # an entry below SOFTEN_EPS * max is kept on a soft model, as
+        # soft_model keeps it, so the final stage is the model's own exact Z
         for seed in range(3):
             m = random_soft_model(np.random.default_rng(seed), 5, n_nodes=3)
             a = m.graph.nodes[0]
@@ -645,7 +646,7 @@ class TestContractSequence:
             m = dataclasses.replace(m, factors={
                 **m.factors, a: FactorTable.from_values(a, f.variables, table)})
             assert m.is_soft
-            assert soften(m, FAST.soften_eps).factors[a].table[0] > table[0]
+            assert soften(m, SOFTEN_EPS).factors[a].table[0] > table[0]
             stages = bp_contract_sequence(m, m.graph.normal_first_order(), FAST)
             assert stages[0].model is m
             assert stages[0].gauge == solve_bp(m, FAST)

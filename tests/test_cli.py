@@ -10,6 +10,7 @@ import gaugepf.bp
 import gaugepf.cli
 import gaugepf.gauge
 import gaugepf.loops
+import gaugepf.model
 from gaugepf.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
@@ -24,7 +25,7 @@ from gaugepf.cli import (
     serialize_model,
 )
 from gaugepf.families import matching_model, permanent_model, random_soft_model
-from gaugepf.model import soften
+from gaugepf.model import soft_model
 
 from conftest import make_model
 
@@ -282,6 +283,33 @@ class TestCmdBP:
 
 
 @pytest.mark.parametrize(
+    "command", ["bp", "loops", "verify", "contract --mode bp-sequence"]
+)
+def test_hard_model_softened_once(capsys, monkeypatch, tmp_path, command):
+    """Each solver command softens a hard model once, before it solves, and
+    leaves a soft model as it is."""
+    soften = gaugepf.model.soften
+    calls = []
+
+    def counted(m, eps):
+        calls.append(eps)
+        return soften(m, eps)
+
+    # in every module that binds it, so a call from outside soft_model counts
+    for module in (gaugepf.model, gaugepf.bp, gaugepf.cli):
+        if hasattr(module, "soften"):
+            monkeypatch.setattr(module, "soften", counted)
+    for m, softens in ((matching_model(3, 3), 1),
+                       (random_soft_model(np.random.default_rng(5), 6, n_nodes=4), 0)):
+        path = tmp_path / "model.json"
+        path.write_text(serialize_model(m))
+        calls.clear()
+        code, _, _ = run(capsys, [*command.split(), str(path), "--restarts", "2"])
+        assert code == EXIT_OK
+        assert len(calls) == softens
+
+
+@pytest.mark.parametrize(
     "flags",
     [["--tol", "-1"], ["--damping", "1.5"], ["--restarts", "0"], ["--max-sweeps", "0"]],
 )
@@ -303,6 +331,8 @@ def test_invalid_solver_flag_exit_three(capsys, two_node_file, flags):
         # each command takes only the flags it reads
         ["exact", "x.json", "--seed", "1"],
         ["verify", "--guard", "5"],
+        # the softening floor is fixed, not a flag
+        ["bp", "x.json", "--soften", "1e-12"],
     ],
 )
 def test_unparsable_command_line_exit_three(capsys, argv):
@@ -516,9 +546,8 @@ class TestCmdLoops:
         code, report, _ = run(capsys, ["loops", str(path), "--restarts", "4"])
         assert code == EXIT_OK
         m = load_model(str(path))
-        cfg = gaugepf.bp.SolverConfig(restarts=4)
-        msoft = m if m.is_soft else soften(m, cfg.soften_eps)
-        g = gaugepf.bp.solve_bp(m, cfg)
+        msoft = soft_model(m)
+        g = gaugepf.bp.solve_bp(msoft, gaugepf.bp.SolverConfig(restarts=4))
         assert report["results"]["sum"] == gaugepf.loops.loop_series_sum(msoft, g.x)
 
 

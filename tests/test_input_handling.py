@@ -193,7 +193,7 @@ def test_broken_document_exits_three(text, command):
 
 
 BAD_FLAGS = st.one_of(
-    st.tuples(st.sampled_from(["--tol", "--soften"]),
+    st.tuples(st.just("--tol"),
               st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan]))),
     st.tuples(st.just("--damping"), st.one_of(
         st.floats(min_value=1.0), st.floats(max_value=0.0, exclude_max=True),

@@ -17,11 +17,13 @@ from gaugepf import (
     exact_summary,
     map_energy_exact,
     partition_exact,
+    soft_model,
     soften,
 )
-from gaugepf.families import matching_model, random_soft_model
+from gaugepf.families import random_soft_model
+from gaugepf.model import SOFTEN_EPS
 
-from conftest import make_model
+from conftest import k44_stages, make_model
 
 
 class TestEvaluateWeight:
@@ -151,6 +153,20 @@ class TestSoften:
         with pytest.raises(ModelError):
             soften(m, 1e-12)
 
+    def test_soft_model_softens_only_hard_models(self):
+        # a soft model is kept, entries below the floor included; a hard one
+        # is softened at SOFTEN_EPS
+        soft = make_model(["a", "b"], [("e", "a", "b")],
+                          {"a": [1e-15, 1.0], "b": [1.0, 1.0]})
+        assert soft.factors["a"].table[0] < SOFTEN_EPS * soft.factors["a"].table.max()
+        assert soft_model(soft) is soft
+        hard = make_model(["a", "b"], [("e", "a", "b")],
+                          {"a": [0.0, 2.0], "b": [1.0, 1.0]})
+        s, ref = soft_model(hard), soften(hard, SOFTEN_EPS)
+        assert s is not hard and s.is_soft
+        for a in hard.graph.nodes:
+            np.testing.assert_array_equal(s.factors[a].table, ref.factors[a].table)
+
     def test_nonpositive_eps(self, two_node_model):
         with pytest.raises(ModelError):
             soften(two_node_model, 0.0)
@@ -222,15 +238,15 @@ class TestContractModel:
             assert all(f.table.size == 1 for f in m.factors.values())
 
     def test_k44_sequence_matches_reference(self):
-        for e, stage, c in _k44_stages():
-            _assert_same_model(c, _ref_contract_model(stage, e))
+        for e, stage in k44_stages():
+            _assert_same_model(contract_model(stage, e), _ref_contract_model(stage, e))
 
     def test_merged_table_memory(self):
         """The bit-0 outer product is the merged table and the bit-1 one is
         added into it, so no transposed copy or third table is made, and the
         merged array becomes the new table without a copy: a large stage
         peaks at about two tables, the merged one beside the bit-1 part."""
-        for e, stage, _ in _k44_stages():
+        for e, stage in k44_stages():
             tail, head = stage.graph.endpoints[e]
             node = min(tail, head)
             tracemalloc.start()
@@ -302,17 +318,6 @@ def _self_edge_at(rng, k, i, j):
         for a, ds in g.incidence.items()
     }
     return MultiGM.from_tables(g, factors)
-
-
-def _k44_stages():
-    """``(edge, stage, contracted)`` along the softened K_{4,4} monomer-dimer
-    normal-first sequence, each stage softened as the solver's sequence does."""
-    w = np.exp(np.random.default_rng(44).uniform(np.log(0.5), np.log(2.0), (4, 4)))
-    stage = soften(matching_model(4, 4, weights=w), 1e-12)
-    for e in stage.graph.normal_first_order():
-        c = contract_model(stage, e)
-        yield e, stage, c
-        stage = soften(c, 1e-12)
 
 
 class TestFactorTable:

@@ -16,17 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugepf.bp as bp_mod
-from gaugepf import soften
+from gaugepf import soft_model
 from gaugepf.bp import SolverConfig, _restarts, solve_bp
 from gaugepf.families import (
     attach_random_factors,
-    matching_model,
     random_soft_model,
     random_tree_model,
 )
-from gaugepf.model import contract_model
 from gaugepf.multigraph import MultiGraph
 
+from conftest import k44_stage
 from test_batched_solver import MODELS as LOOPY_MODELS
 
 REL = 1e-12
@@ -90,25 +89,12 @@ def _full_pass_every_sweep(monkeypatch):
     monkeypatch.setattr(bp_mod, "_unconverged", lambda plan, tol: False)
 
 
-def _k44_stage(slots):
-    """The softened K_{4,4} normal-first contraction stage with a ``slots``-slot node."""
-    cfg = SolverConfig()
-    w = np.exp(np.random.default_rng(44).uniform(np.log(0.5), np.log(2.0), (4, 4)))
-    m = matching_model(4, 4, weights=w)
-    stage = soften(m, cfg.soften_eps)
-    for e in m.graph.normal_first_order():
-        if max(len(f.variables) for f in stage.factors.values()) == slots:
-            return stage
-        stage = soften(contract_model(stage, e), cfg.soften_eps)
-    raise AssertionError(f"no {slots}-slot stage")
-
-
 CASES = {
     **{name: (make, SolverConfig(restarts=6)) for name, make in LOOPY_MODELS.items()},
     "loopy_10": (lambda: random_soft_model(np.random.default_rng(5), 10, n_nodes=5),
                  SolverConfig(restarts=6, seed=3)),
     "tree_9": (lambda: random_tree_model(np.random.default_rng(9), 9), SolverConfig(restarts=6)),
-    "k44_16_slots": (lambda: _k44_stage(16), SolverConfig(restarts=8)),
+    "k44_16_slots": (lambda: k44_stage(16), SolverConfig(restarts=8)),
     "capped": (LOOPY_MODELS["loopy_9"], SolverConfig(max_sweeps=3)),
 }
 
@@ -117,7 +103,7 @@ CASES = {
 def test_skipping_matches_full_pass_bit_for_bit(name, monkeypatch):
     make, cfg = CASES[name]
     m = make()
-    soft = m if m.is_soft else soften(m, cfg.soften_eps)
+    soft = soft_model(m)
     skipped = _restarts(soft, cfg), solve_bp(m, cfg)
     _full_pass_every_sweep(monkeypatch)
     full = _restarts(soft, cfg), solve_bp(m, cfg)

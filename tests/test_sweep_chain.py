@@ -21,13 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugepf.bp as bp_mod
-from gaugepf import soften
 from gaugepf.bp import DegenerateEdgeError, SolverConfig, _restarts, solve_bp
 from gaugepf.families import attach_random_factors, matching_model
 from gaugepf.gauge import gauge_function, monomials, node_weights
-from gaugepf.model import contract_model
 from gaugepf.multigraph import DirectedEdge, MultiGraph
 
+from conftest import k44_stage
 from test_batched_solver import reference_restarts
 
 REL = 1e-12
@@ -283,12 +282,7 @@ def test_chain_sums_match_brute_force(k, rows, seed, data):
 def test_k44_eighteen_slot_stage_matches_reference():
     """The 18-slot stage of the softened K_{4,4} normal-first sequence."""
     cfg = SolverConfig(restarts=1, max_sweeps=5)
-    w = np.exp(np.random.default_rng(44).uniform(np.log(0.5), np.log(2.0), (4, 4)))
-    m = matching_model(4, 4, weights=w)
-    order = m.graph.normal_first_order()
-    stage = soften(m, cfg.soften_eps)
-    for e in order[:7]:  # as bp_contract_sequence builds its stages
-        stage = soften(contract_model(stage, e), cfg.soften_eps)
+    stage = k44_stage(18)
     assert [len(f.variables) for f in stage.factors.values()] == [18]
 
     (x, _, value, sweeps, *_), = reference_restarts(stage, cfg)
@@ -328,12 +322,7 @@ def test_plan_memory_bound():
     ``slot_sums``' halves.  The 16-slot stage of the softened K_{4,4}
     normal-first sequence runs its 16 restarts in batches of 4."""
     cfg = SolverConfig(restarts=16, max_sweeps=3)
-    w = np.exp(np.random.default_rng(44).uniform(np.log(0.5), np.log(2.0), (4, 4)))
-    m = matching_model(4, 4, weights=w)
-    order = m.graph.normal_first_order()
-    stage = soften(m, cfg.soften_eps)
-    for e in order[:6]:
-        stage = soften(contract_model(stage, e), cfg.soften_eps)
+    stage = k44_stage(16)
     k = max(len(f.variables) for f in stage.factors.values())
     rows = bp_mod._BATCH_ENTRIES >> k
     assert (k, rows) == (16, 4)
