@@ -57,10 +57,11 @@ node; the restarts are split into batches that keep it bounded on large
 tables.  The single-gauge entry points are the same code on one column:
 ``_at_gauge`` checks a gauge and runs the residual pass, and
 :func:`saddle_check` reads an edge's quadratic from the first step of a
-one-column sweep plan.  :func:`bp_contract_sequence` solves its first stage
-with restarts and each later one with a single restart started from the
-previous stage's gauge, falling back to restarts when that one does not
-converge or its value drops.  A warm stage checks its start with one
+one-column sweep plan and takes the profile's Hessian in closed form.
+:func:`bp_contract_sequence` solves its first stage with restarts and each
+later one with a single restart started from the previous stage's gauge,
+falling back to restarts when that one does not converge or its value
+drops.  A warm stage checks its start with one
 residual pass and keeps it, unswept, when it is within the tolerance; after
 a normal-edge contraction, which BP eliminates exactly
 (:func:`bp_normal_contract`), that start is already a BP gauge.  Otherwise
@@ -75,6 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -212,7 +214,6 @@ class _Layout:
     """
 
     darts: tuple[DirectedEdge, ...]  # the dart on each gauge row
-    col: dict[DirectedEdge, int]  # and back
     tables: dict[int, np.ndarray]  # slot count k -> (n_k, 2**k) tables
     slots: dict[int, np.ndarray]  # k -> (n_k, k) gauge row of each table bit
     place: dict[NodeId, tuple[int, int]]  # node -> (k, its row in the stack)
@@ -225,7 +226,10 @@ class _Layout:
 
         A self-edge's two slots are adjacent, its positive one above.
         """
-        darts = tuple(DirectedEdge(e, p) for e in edges for p in (True, False))
+        # the graph's own darts: a gauge keyed by them is read by identity
+        pos = {e: 2 * i for i, e in enumerate(edges)}
+        darts = tuple(sorted(m.graph.directed_edges(),
+                             key=lambda d: pos[d.edge] + (not d.positive)))
         col = {d: j for j, d in enumerate(darts)}
         groups: dict[int, list[NodeId]] = {}
         for a in m.graph.nodes:
@@ -246,20 +250,21 @@ class _Layout:
         ends = [m.graph.endpoints[e] for e in edges]
         last = {a: i for i, pair in enumerate(ends) for a in pair}
         steps = tuple((t, h, i < last[t], i < last[h]) for i, (t, h) in enumerate(ends))
-        return cls(darts=darts, col=col, tables=tables, slots=slots, place=place,
-                   steps=steps)
+        return cls(darts=darts, tables=tables, slots=slots, place=place, steps=steps)
 
-    @classmethod
-    def for_gauge(
-        cls, m: MultiGM, x: GaugeVector, first: EdgeId | None = None
-    ) -> tuple["_Layout", np.ndarray]:
-        """Layout in incidence order and the one-column array holding ``x``.
+    def column(self, x: GaugeVector) -> np.ndarray:
+        """Gauge ``x`` as a one-column array, one row per dart."""
+        return np.array([float(x[d]) for d in self.darts]).reshape(-1, 1)
 
-        The sweep starts at edge ``first``, if given, so that its slots are
-        the top bits of its endpoints' tables.
-        """
-        lay = cls.of(m, sorted(m.graph.edges, key=lambda e: e != first))
-        return lay, np.array([float(x[d]) for d in lay.darts]).reshape(-1, 1)
+    @cached_property
+    def by_name(self) -> list[int]:
+        """Gauge rows in name order of their darts, sorted on first use."""
+        return sorted(range(len(self.darts)), key=lambda j: str(self.darts[j]))
+
+    def gauge(self, col: np.ndarray) -> dict[DirectedEdge, float]:
+        """The gauge held in column ``col``, its darts in name order."""
+        values = col.reshape(-1)[self.by_name].tolist()
+        return {self.darts[j]: v for j, v in zip(self.by_name, values)}
 
     def weight_vectors(self, x: np.ndarray) -> dict[int, np.ndarray]:
         """Per slot count, the ``(n_k, rows, 2**k)`` weight vectors
@@ -326,12 +331,13 @@ def _values(totals: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.exp(log_z)
 
 
-def _at_gauge(m: MultiGM, x: GaugeVector) -> tuple[float, dict[DirectedEdge, float]]:
-    """Check gauge ``x``; its residual and its gradient of ``log z`` per dart."""
+def _at_gauge(m: MultiGM, x: GaugeVector) -> tuple[float, np.ndarray, _Layout]:
+    """Check gauge ``x``; its residual, ``log z``'s gradient column and its layout."""
     check_gauge(m, x)
-    lay, col = _Layout.for_gauge(m, x)
+    lay = _Layout.of(m, m.graph.edges)
+    col = lay.column(x)
     res, grad, _, _ = _residual_parts(lay, col, lay.weight_vectors(col))
-    return float(res[0]), {d: float(grad[j, 0]) for d, j in lay.col.items()}
+    return float(res[0]), grad, lay
 
 
 def bp_residual(m: MultiGM, x: GaugeVector) -> dict[DirectedEdge, float]:
@@ -342,7 +348,8 @@ def bp_residual(m: MultiGM, x: GaugeVector) -> dict[DirectedEdge, float]:
     """
     if not m.is_soft:
         raise ModelError("residuals need a soft model; soften it first")
-    return _at_gauge(m, x)[1]
+    _, grad, lay = _at_gauge(m, x)
+    return lay.gauge(grad)
 
 
 # -- closed-form edge update ----------------------------------------------
@@ -622,15 +629,11 @@ def _lockstep(
              bool(converged[i]), int(clamped[i])) for i in range(n)]
 
 
-def _gauges(
-    lay: _Layout, darts: Sequence[DirectedEdge], x0: np.ndarray, cfg: SolverConfig
-) -> list[BPGauge]:
-    """:func:`_lockstep` from the columns of ``x0``, each result as a
-    :class:`BPGauge` whose gauge lists ``darts`` in that order."""
-    back = [lay.col[d] for d in darts]
+def _gauges(lay: _Layout, x0: np.ndarray, cfg: SolverConfig) -> list[BPGauge]:
+    """:func:`_lockstep` from the columns of ``x0``, as :class:`BPGauge` results."""
     return [
-        BPGauge(x=dict(zip(darts, col[back].tolist())), residual=res, value=value,
-                sweeps=sweeps, converged=converged, clamped=clamped)
+        BPGauge(x=lay.gauge(col), residual=res, value=value, sweeps=sweeps,
+                converged=converged, clamped=clamped)
         for col, res, value, sweeps, converged, clamped in _lockstep(lay, x0, cfg)
     ]
 
@@ -651,16 +654,13 @@ def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
     that do not converge in that phase run again from their initial draws
     with ``cfg``, and their ``sweeps`` count both phases.
     """
-    darts = sorted(m.graph.directed_edges(), key=str)
     lay = _Layout.of(m, sorted(m.graph.edges))
     rng = np.random.default_rng(cfg.seed)
     lo, hi = np.log(_INIT_RANGE[0]), np.log(_INIT_RANGE[1])
-    # one draw per restart and dart, restart-major: the same stream and
-    # order as drawing each restart's gauge in turn; then one column per
-    # restart, its rows in the layout's order
-    x0 = np.exp(rng.uniform(lo, hi, size=(cfg.restarts, len(darts))))
-    index = {d: j for j, d in enumerate(darts)}
-    x0 = x0[:, [index[d] for d in lay.darts]].T
+    # one draw per restart and dart, restart-major, darts in name order (the
+    # stream of drawing each restart's gauge in turn); rows in layout order
+    draws = np.exp(rng.uniform(lo, hi, size=(cfg.restarts, len(lay.darts))))
+    x0 = draws.T[np.argsort(lay.by_name)]
     k = max(len(f.variables) for f in m.factors.values())
     batch = max(1, _BATCH_ENTRIES >> k)
     first = cfg
@@ -673,10 +673,10 @@ def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
     out = []
     for start in range(0, cfg.restarts, batch):
         x = x0[:, start : start + batch]
-        runs = _gauges(lay, darts, x, first)
+        runs = _gauges(lay, x, first)
         redo = [i for i, g in enumerate(runs) if not g.converged]
         if first is not cfg and redo:
-            for i, g in zip(redo, _gauges(lay, darts, x[:, redo], cfg)):
+            for i, g in zip(redo, _gauges(lay, x[:, redo], cfg)):
                 runs[i] = replace(g, sweeps=runs[i].sweeps + g.sweeps, fallbacks=1)
         out += runs
     return out
@@ -692,17 +692,14 @@ def _warm_solve(m: MultiGM, start: GaugeVector, cfg: SolverConfig) -> BPGauge:
     The start is checked first, by one residual pass: a start within the
     tolerance is the result as it is, with 0 sweeps, and any other is swept.
     """
-    darts = sorted(m.graph.directed_edges(), key=str)
     lay = _Layout.of(m, sorted(m.graph.edges))
-    x0 = np.array([start[d] for d in lay.darts], dtype=float).reshape(-1, 1)
+    x0 = lay.column(start)
     res, _, _, totals = _residual_parts(lay, x0, lay.weight_vectors(x0))
     if res[0] <= cfg.tolerance:
         value = float(_values(totals, x0)[0])
-        return BPGauge(
-            x={d: float(start[d]) for d in darts}, residual=float(res[0]),
-            value=value, sweeps=0, converged=True, stationary_values=(value,),
-        )
-    (g,) = _gauges(lay, darts, x0, cfg)
+        return BPGauge(x=lay.gauge(x0), residual=float(res[0]), value=value, sweeps=0,
+                       converged=True, stationary_values=(value,))
+    (g,) = _gauges(lay, x0, cfg)
     return replace(g, stationary_values=(g.value,) if g.converged else ())
 
 
@@ -853,7 +850,7 @@ def lagrangian_L(
 
 @dataclass(frozen=True)
 class SaddleReport:
-    """Finite-difference curvature of ``h/(1+x_p x_q)`` in one edge pair."""
+    """Closed-form curvature of ``h/(1+x_p x_q)`` in one edge pair."""
 
     edge: EdgeId
     hessian: np.ndarray
@@ -869,66 +866,35 @@ class SaddleReport:
         return self.mixed < 0
 
 
-def saddle_check(
-    m: MultiGM, x_bp: GaugeVector, edge: EdgeId, step: float = 1e-4
-) -> SaddleReport:
-    """Central-difference 2x2 Hessian of the edge-pair profile at a gauge.
+def saddle_check(m: MultiGM, x_bp: GaugeVector, edge: EdgeId) -> SaddleReport:
+    """The 2x2 Hessian of the edge-pair profile ``f = h/D``, exact, at a gauge.
 
-    At an interior BP gauge the pure second derivatives vanish (the profile
-    is Moebius in each variable separately, so stationarity in one variable
-    makes it flat in it) and the cross term is the whole story: the profile
-    is an indefinite product form with negative determinant.  The cross
-    term itself is ``(h11 - value)/(1 + x_p x_q)``, strictly negative for
-    soft models: the profile falls along the symmetric direction and rises
-    along the antisymmetric one.
-
-    The reported signs are noise-limited when the true cross term is
-    smaller than the profile's float resolution, which happens for nearly
-    factorized edges at very large gauge values (the curvature shrinks
-    like ``h01 h10 / (h11 (1 + x_p x_q))``).
-
-    ``step`` is relative to each coordinate (at least 1).  A central second
-    difference has truncation error of order ``step**2`` and rounding error
-    of order ``eps / step**2``; the two balance near ``eps**0.25``, about
-    1e-4.  At 1e-5 rounding dominates the cross term.
+    With the edge's quadratic ``h = h00 + h10 x_p + h01 x_q + h11 x_p x_q``
+    and ``D = 1 + x_p x_q``, ``f_p = (h10 + (h11 - h00) x_q - h01 x_q**2) /
+    D**2``; so ``f_pp = -2 x_q f_p / D``, ``f_pq = ((h11 - h00) - 2 h01 x_q)
+    / D**2 - 2 x_p f_p / D``, and ``f_q``, ``f_qq`` swap ``p`` and ``q``.  At
+    an interior BP gauge the slopes and ``f_pp``, ``f_qq`` vanish, and the
+    cross term ``(h11 - value) / D`` is strictly negative on soft models: a
+    saddle, falling along the symmetric direction.
     """
     if edge not in m.graph.endpoints:
         raise GraphError(f"unknown edge {edge!r}")
     # the chain sums of a one-row sweep's first step, the edge's slots on top;
     # other nodes' factors are omitted, a positive constant on soft models
-    plan = _Plan(*_Layout.for_gauge(m, x_bp, first=edge))
+    lay = _Layout.of(m, sorted(m.graph.edges, key=lambda e: e != edge))
+    plan = _Plan(lay, lay.column(x_bp))
     plan.read_first()
     tail, head = m.graph.endpoints[edge]
     s = plan.sums[0]  # h[bit_p, bit_q] on a self-edge, (a, b) on a normal one
     h00, h01, h10, h11 = (s if tail == head else np.outer(s[0], s[1])).ravel().tolist()
-    c = QuadCoeffs(h00, h10, h01, h11)
-    xp0 = x_bp[DirectedEdge(edge, True)]
-    xq0 = x_bp[DirectedEdge(edge, False)]
-    # steps scale with the coordinates: an absolute step drowns in rounding
-    # once gauge values reach ~1e2
-    hp = step * max(1.0, abs(xp0))
-    hq = step * max(1.0, abs(xq0))
-
-    def profile(xp: float, xq: float) -> float:
-        h = c.h00 + c.h10 * xp + c.h01 * xq + c.h11 * xp * xq
-        return h / (1.0 + xp * xq)
-
-    f00 = profile(xp0, xq0)
-    dpp = (profile(xp0 + hp, xq0) - 2 * f00 + profile(xp0 - hp, xq0)) / hp**2
-    dqq = (profile(xp0, xq0 + hq) - 2 * f00 + profile(xp0, xq0 - hq)) / hq**2
-    dpq = (
-        profile(xp0 + hp, xq0 + hq)
-        - profile(xp0 + hp, xq0 - hq)
-        - profile(xp0 - hp, xq0 + hq)
-        + profile(xp0 - hp, xq0 - hq)
-    ) / (4 * hp * hq)
-    hess = np.array([[dpp, dpq], [dpq, dqq]])
-    return SaddleReport(
-        edge=edge,
-        hessian=hess,
-        determinant=float(np.linalg.det(hess)),
-        mixed=float(dpq),
-    )
+    xp, xq = plan.x[:2, 0].tolist()
+    d = 1.0 + xp * xq
+    fp = (h10 + (h11 - h00) * xq - h01 * xq * xq) / (d * d)
+    fq = (h01 + (h11 - h00) * xp - h10 * xp * xp) / (d * d)
+    fpq = ((h11 - h00) - 2.0 * h01 * xq) / (d * d) - 2.0 * xp * fp / d
+    fpp, fqq = -2.0 * xq * fp / d, -2.0 * xp * fq / d
+    hessian = np.array([[fpp, fpq], [fpq, fqq]])
+    return SaddleReport(edge, hessian, determinant=fpp * fqq - fpq**2, mixed=fpq)
 
 
 # -- contraction sequence ----------------------------------------------------

@@ -604,7 +604,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args, extra = _parser().parse_known_args(argv)
+        if extra:  # left by the command's own parser, so named here
+            raise UsageError(f"gaugepf {args.command}: unrecognized arguments: "
+                             f"{' '.join(extra)}")
         if args.command == "verify":
             return cmd_verify(args)
         m = load_model(args.model)

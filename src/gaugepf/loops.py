@@ -78,7 +78,7 @@ def _at_bp_gauge(m: MultiGM, x_bp: GaugeVector) -> tuple[ColoredTables, float]:
     ``Q_a[sigma_a]`` is node ``a``'s table reduced at the coloring
     ``sigma_a`` of its slots, so ``Q_a[0]`` is ``h_a``.
     """
-    res, _ = _at_gauge(m, x_bp)
+    res = _at_gauge(m, x_bp)[0]
     if res > CONVERGENCE_THRESHOLD:
         raise NonConvergenceError(
             f"gauge residual {res:.3e} exceeds {CONVERGENCE_THRESHOLD:g}; "

@@ -478,6 +478,57 @@ class TestSaddle:
                 assert saddle_check(m, g.x, e).mixed == pytest.approx(expected, rel=1e-4)
         assert self_edges and parallel
 
+    def test_hessian_matches_central_differences(self):
+        # at a random, non-stationary gauge, where the diagonal entries do
+        # not vanish, every entry of the closed form matches central
+        # differences of the profile h/(1 + x_p x_q), with h the edge's
+        # quadratic from the polynomial layer, the other nodes' factors
+        # divided out
+        rng = np.random.default_rng(909)
+        self_edges = normal = 0
+        for _ in range(6):
+            m = random_soft_model(rng, int(rng.integers(2, 7)))
+            x = random_gauge(m, rng, 0.5, 2.0)
+            poly = build(m)
+            for e in m.graph.edges:
+                tail, head = m.graph.endpoints[e]
+                self_edges += tail == head
+                normal += tail != head
+                own = {poly.factor_of(D(e, True)), poly.factor_of(D(e, False))}
+                rest = math.prod(
+                    p.evaluate(x) for j, p in enumerate(poly.factors) if j not in own
+                )
+                c = quad_coeffs(poly, e, x)
+                xp0, xq0 = x[D(e, True)], x[D(e, False)]
+
+                def profile(xp, xq):
+                    h = c.h00 + c.h10 * xp + c.h01 * xq + c.h11 * xp * xq
+                    return h / (1.0 + xp * xq) / rest
+
+                hp, hq = 1e-4 * max(1.0, xp0), 1e-4 * max(1.0, xq0)
+                f = profile(xp0, xq0)
+                fpp = (profile(xp0 + hp, xq0) - 2 * f + profile(xp0 - hp, xq0)) / hp**2
+                fqq = (profile(xp0, xq0 + hq) - 2 * f + profile(xp0, xq0 - hq)) / hq**2
+                fpq = (
+                    profile(xp0 + hp, xq0 + hq) - profile(xp0 + hp, xq0 - hq)
+                    - profile(xp0 - hp, xq0 + hq) + profile(xp0 - hp, xq0 - hq)
+                ) / (4 * hp * hq)
+                fd = np.array([[fpp, fpq], [fpq, fqq]])
+                rep = saddle_check(m, x, e)
+                # relative to the largest entry: a central difference's
+                # error scales with the profile, not with the entry
+                np.testing.assert_allclose(
+                    rep.hessian, fd, rtol=0, atol=1e-5 * np.abs(fd).max()
+                )
+                assert (np.sign(rep.hessian) == np.sign(fd)).all()
+                assert fpp and fqq
+                assert rep.mixed == rep.hessian[0, 1]
+                scale = np.abs(fd).max() ** 2
+                assert rep.determinant == pytest.approx(
+                    np.linalg.det(rep.hessian), rel=1e-9, abs=1e-12 * scale
+                )
+        assert self_edges and normal
+
 
 class TestContractSequence:
     def test_tree_constant(self, rng):

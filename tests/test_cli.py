@@ -344,10 +344,16 @@ def test_unparsable_command_line_exit_three(capsys, argv):
 
 
 def test_unparsable_value_names_the_flag(capsys):
-    assert main(["bp", "x.json", "--restarts", "abc"]) == EXIT_INPUT
-    assert capsys.readouterr().err == (
-        "error: gaugepf bp: argument --restarts: invalid int value: 'abc'\n"
-    )
+    # a bad value, and a flag the command does not take: both name the command
+    for argv, message in (
+        (["bp", "x.json", "--restarts", "abc"],
+         "gaugepf bp: argument --restarts: invalid int value: 'abc'"),
+        (["exact", "x.json", "--seed", "1"],
+         "gaugepf exact: unrecognized arguments: --seed 1"),
+        (["verify", "--guard", "5"], "gaugepf verify: unrecognized arguments: --guard"),
+    ):
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_help_exits_zero(capsys):

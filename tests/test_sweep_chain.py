@@ -80,6 +80,7 @@ def _check_chain(m, x0, cfg, monkeypatch):
     """
     edges = sorted(m.graph.edges)
     lay = bp_mod._Layout.of(m, edges)
+    row_of = {d: j for j, d in enumerate(lay.darts)}
     calls = []
     real_sweep = bp_mod._sweep
 
@@ -107,7 +108,7 @@ def _check_chain(m, x0, cfg, monkeypatch):
         active = np.flatnonzero(sweeps >= sweep)
         for i, e in enumerate(edges):
             got = next(calls)
-            ref = _reference_quad(m, lay.col, x[:, active], e)
+            ref = _reference_quad(m, row_of, x[:, active], e)
             tail, head = m.graph.endpoints[e]
             if tail == head:  # got is h[row, bit_p, bit_q]
                 np.testing.assert_allclose(got, ref, rtol=REL)
