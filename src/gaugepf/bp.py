@@ -40,13 +40,15 @@ block takes the general closed form.  The weight vectors are rewritten
 once per sweep and slot count, for the gauge the next sweep starts from;
 so a sweep costs about two table passes per node, whatever the node's
 degree.  The residual pass reduces each slot count's weighted stack in one
-:func:`gauge.slot_sums` call, one more table pass per node, and it runs
-only when a restart may have converged: the first edge's chain sums, read
-again at the gauge the sweep ends on, give that edge's residual exactly, a
-lower bound on the restart's, and while it exceeds the tolerance by a
-margin in every restart the pass is skipped, after damped and full steps
-alike.  The pass also holds every node's total ``h_a``, from which a
-restart's value ``z(x)`` is taken when it stops.  Every array an edge
+:func:`gauge.slot_sums` call, one more table pass per node, folding it in
+the buffer the tables were weighed into, so it allocates nothing
+table-sized; it runs only when a restart may have converged: the first
+edge's chain sums, read again at the gauge the sweep ends on, give that
+edge's residual exactly, a lower bound on the restart's, and while it
+exceeds the tolerance by a margin in every restart the pass is skipped,
+after damped and full steps alike.  The pass also holds every node's
+total ``h_a``, from which a restart's value ``z(x)`` is taken when it
+stops.  Every array an edge
 step writes belongs to a sweep plan (:class:`_Plan`) that a batch
 allocates once and rebuilds only when restarts retire, together with each
 edge step's views of it, so a normal edge's step is a fixed list of ufunc
@@ -55,19 +57,21 @@ weight vectors' gather, once a sweep on ``(2, rows)``-sized blocks, are
 plain numpy expressions.  Memory is ``O(rows * 2**k)`` for a ``k``-slot
 node; the restarts are split into batches that keep it bounded on large
 tables.  The single-gauge entry points are the same code on one column:
-``_at_gauge`` checks a gauge and runs the residual pass, and
+``_at_gauge`` checks a gauge and runs the residual pass in the gauge's
+weight vectors, so it holds two table-sized arrays, and
 :func:`saddle_check` reads an edge's quadratic from the first step of a
 one-column sweep plan and takes the profile's Hessian in closed form.
 :func:`bp_contract_sequence` solves its first stage with restarts and each
 later one with a single restart started from the previous stage's gauge,
 falling back to restarts when that one does not converge or its value
-drops.  A warm stage checks its start with one
-residual pass and keeps it, unswept, when it is within the tolerance; after
-a normal-edge contraction, which BP eliminates exactly
-(:func:`bp_normal_contract`), that start is already a BP gauge.  Otherwise
-the warm restart takes full, undamped steps, capped at the sweeps stage 0's
-chosen restart took, and has no damped phase: it starts next to its fixed
-point, and damping only slows it there.
+drops.  After a normal-edge contraction, which BP eliminates exactly
+(:func:`bp_normal_contract`), the start is already a BP gauge: that warm
+stage checks it with one residual pass, as ``_at_gauge`` does, and keeps it
+unswept when it is within the tolerance.  After a self-edge contraction the
+start is swept without a check.  The warm restart takes full, undamped
+steps, capped at the sweeps stage 0's chosen restart took, and has no
+damped phase: it starts next to its fixed point, and damping only slows it
+there.
 The direct Bethe minimizer that cross-checks the solver lives apart from
 it, in :mod:`gaugepf.bethe`.
 """
@@ -188,11 +192,10 @@ class Beliefs:
 # the solver runs at most ``_BATCH_ENTRIES >> k`` restarts together when the
 # largest node has ``k`` slots.  A batch's sweep plan keeps two
 # ``(rows, 2**k)`` arrays per ``k``-slot node, its weight vector and one
-# buffer that the residual pass weighs the table into and a sweep folds
-# the node's chain into (the folds halve, so they fit); ``slot_sums``'
-# halves add at most one more while the residual pass runs.  So a batch
-# peaks at about three such arrays per node, which bounds its memory on
-# large tables.
+# buffer that the residual pass weighs the table into and folds it in, and
+# a sweep folds the node's chain into (the folds halve, so they fit).  So a
+# batch peaks at about two such arrays per node, beside the layout's one
+# copy of each table, which bounds its memory on large tables.
 _BATCH_ENTRIES = 1 << 18
 
 # every restart's initial gauge values are drawn log-uniformly from this range
@@ -285,11 +288,15 @@ def _residual_parts(
 
     ``mono`` holds the weight vectors of ``x`` (:meth:`_Layout.weight_vectors`
     or a :class:`_Plan`'s), and ``weighted``, if given, one buffer of the
-    same shape per slot count for the weighted tables.  One pass per slot
-    count covers every slot of every node and row: with the slot's own
-    weight included, the bit-1 sum over the node total is the slot's tilted
-    mean ``x_d * dh/dx_d / h``.  Each node's total comes once, from its top
-    slot (``(nodes, rows)``, in slot-count order); a 0-slot node's is its
+    same shape per slot count for the weighted tables; it may be ``mono``
+    itself, when the caller no longer needs the weight vectors.  The pass
+    weighs the tables into it, or into a fresh product, and folds them there
+    (:func:`gauge.slot_sums` with ``overwrite``), so it allocates nothing
+    table-sized beyond that product.  One pass per slot count covers every
+    slot of every node and row: with the slot's own weight included, the
+    bit-1 sum over the node total is the slot's tilted mean ``x_d *
+    dh/dx_d / h``.  Each node's total comes once, from its top slot
+    (``(nodes, rows)``, in slot-count order); a 0-slot node's is its
     constant.
     """
     mean = np.empty_like(x)
@@ -300,7 +307,8 @@ def _residual_parts(
         if not k:
             totals.append(w[:, :, 0])
             continue
-        s = slot_sums(w.reshape(-1, 1 << k)).reshape(*w.shape[:2], k, 2)
+        s = slot_sums(w.reshape(-1, 1 << k), overwrite=True)
+        s = s.reshape(*w.shape[:2], k, 2)
         tot = s[:, :, -1, 0] + s[:, :, -1, 1]
         mean[rows] = (s[..., 1] / tot[..., None]).transpose(0, 2, 1)
         totals.append(tot)
@@ -336,7 +344,8 @@ def _at_gauge(m: MultiGM, x: GaugeVector) -> tuple[float, np.ndarray, _Layout]:
     check_gauge(m, x)
     lay = _Layout.of(m, m.graph.edges)
     col = lay.column(x)
-    res, grad, _, _ = _residual_parts(lay, col, lay.weight_vectors(col))
+    mono = lay.weight_vectors(col)
+    res, grad, _, _ = _residual_parts(lay, col, mono, mono)
     return float(res[0]), grad, lay
 
 
@@ -428,8 +437,8 @@ class _Plan:
     ``x`` is the batch's ``(darts, rows)`` gauge array, swept in place.  Per
     slot count the plan holds the weight vectors, rewritten from ``x`` once
     a sweep (:meth:`weigh`), and a stack of the same shape that the
-    residual pass weighs the tables into and a sweep folds the nodes'
-    chains into.  ``sums`` holds an edge's chain sums: the tail's and the
+    residual pass weighs the tables into and folds them in, and a sweep
+    folds the nodes' chains into.  ``sums`` holds an edge's chain sums: the tail's and the
     head's ``(bit 0, bit 1)`` sums on a normal edge, the 2x2 block
     ``h[row, bit_p, bit_q]`` on a self-edge.  ``steps`` holds, per edge in
     sweep order, the ``matmul`` operands that fill ``sums``, the ratio's
@@ -682,23 +691,31 @@ def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
     return out
 
 
-def _warm_solve(m: MultiGM, start: GaugeVector, cfg: SolverConfig) -> BPGauge:
+def _warm_solve(
+    m: MultiGM, start: GaugeVector, cfg: SolverConfig, check: bool
+) -> BPGauge:
     """One restart on a soft model with edges, from ``start``'s values on
     its darts; a converged result's stationary values are its own value.
 
     :func:`bp_contract_sequence` passes a ``cfg`` with ``damping=0`` and
     ``max_sweeps`` capped at stage 0's sweeps, so a warm stage takes full
     steps and gives up after no more sweeps than stage 0's cold solve took.
-    The start is checked first, by one residual pass: a start within the
-    tolerance is the result as it is, with 0 sweeps, and any other is swept.
+    With ``check`` the start is checked first, by one residual pass that
+    weighs the tables into the start's weight vectors: a start within the
+    tolerance is the result as it is, with 0 sweeps, and any other is
+    swept, the check's buffer freed before the sweep plan is built.
+    Without it the start is swept straight away.
     """
     lay = _Layout.of(m, sorted(m.graph.edges))
     x0 = lay.column(start)
-    res, _, _, totals = _residual_parts(lay, x0, lay.weight_vectors(x0))
-    if res[0] <= cfg.tolerance:
-        value = float(_values(totals, x0)[0])
-        return BPGauge(x=lay.gauge(x0), residual=float(res[0]), value=value, sweeps=0,
-                       converged=True, stationary_values=(value,))
+    if check:
+        mono = lay.weight_vectors(x0)
+        res, _, _, totals = _residual_parts(lay, x0, mono, mono)
+        del mono
+        if res[0] <= cfg.tolerance:
+            value = float(_values(totals, x0)[0])
+            return BPGauge(x=lay.gauge(x0), residual=float(res[0]), value=value,
+                           sweeps=0, converged=True, stationary_values=(value,))
     (g,) = _gauges(lay, x0, cfg)
     return replace(g, stationary_values=(g.value,) if g.converged else ())
 
@@ -933,22 +950,23 @@ def bp_contract_sequence(
     edges is solved warm: one restart started from the previous stage's
     gauge on the darts that survive the contraction, which keep their ids.  That start is deterministic, so the sequence
     stays reproducible, and the warm stage's ``stationary_values`` holds
-    its one value.  The start is checked first: a start whose residual
-    pass reads within ``cfg.tolerance`` is the stage's gauge, with 0 sweeps
-    and the value of that pass; any other is swept.  After the contraction
-    of a normal edge the start is already a BP gauge: BP's elimination of a
-    normal edge is the exact one, so at a BP gauge the merged node's total
-    is the two old totals' product over the edge's ``1 + x_p x_q``, every
-    surviving dart keeps its tilted mean, and the previous stage's BP gauge
-    is one of this stage.  After a self-edge contraction the start is swept,
-    since the edge's removal moves its node's stationary point.  The warm
-    restart is the corrector step of a continuation: it starts next to its
-    fixed point, so it takes full steps (``damping=0``) and gets no more
-    sweeps than stage 0's chosen restart took, nor than ``cfg.max_sweeps``;
-    ``cfg.damping`` applies to the damped phase of stage 0 and of the
-    fallbacks only.  A stage falls back to :func:`solve_bp`, the random
-    restarts of ``cfg``, when the warm restart does not converge within those
-    sweeps or its value lies below the previous stage's by more than
+    its one value.  After the contraction of a normal edge the start is
+    already a BP gauge: BP's elimination of a normal edge is the exact one,
+    so at a BP gauge the merged node's total is the two old totals' product
+    over the edge's ``1 + x_p x_q``, every surviving dart keeps its tilted
+    mean, and the previous stage's BP gauge is one of this stage.  So such
+    a stage checks its start first: a start whose residual pass reads
+    within ``cfg.tolerance`` is the stage's gauge, with 0 sweeps and the
+    value of that pass, and any other is swept.  After a self-edge
+    contraction the start is swept without the check, since the edge's
+    removal moves its node's stationary point and the check would fail.
+    The warm restart is the corrector step of a continuation: it starts
+    next to its fixed point, so it takes full steps (``damping=0``) and gets
+    no more sweeps than stage 0's chosen restart took, nor than
+    ``cfg.max_sweeps``; ``cfg.damping`` applies to the damped phase of stage
+    0 and of the fallbacks only.  A stage falls back to :func:`solve_bp`,
+    the random restarts of ``cfg``, when the warm restart does not converge
+    within those sweeps or its value lies below the previous stage's by more than
     :func:`sequence_decreases`' default slack; on bi-stable families such a
     drop points to the wrong stationary point.
     The final stage has no edges left, so its value is the exact partition
@@ -969,7 +987,7 @@ def bp_contract_sequence(
         warm = False
         if stages and current.graph.edges:
             prev = stages[-1].gauge
-            g = _warm_solve(current, prev.x, warm_cfg)
+            g = _warm_solve(current, prev.x, warm_cfg, normal)
             warm = g.converged and g.value >= prev.value * (1.0 - _SLACK)
         if not warm:
             g = solve_bp(current, cfg)
@@ -989,6 +1007,7 @@ def bp_contract_sequence(
             )
         )
         if i < len(order):
+            normal = not current.graph.is_self_edge(order[i])
             current = contract_model(current, order[i])
     return stages
 

@@ -332,6 +332,7 @@ def cmd_contract(m: MultiGM, args: argparse.Namespace) -> tuple[dict, int]:
         cfg = _solver_config(args)
         stages = bp_mod.bp_contract_sequence(m, order, cfg)
         decreases = bp_mod.sequence_decreases(stages)
+        slots = [[len(f.variables) for f in s.model.factors.values()] for s in stages]
         results = {
             "mode": "bp-sequence",
             "order": order,
@@ -345,8 +346,10 @@ def cmd_contract(m: MultiGM, args: argparse.Namespace) -> tuple[dict, int]:
                     "start": "warm" if s.warm else "cold",
                     "sweeps": s.gauge.sweeps,
                     "fallbacks": s.gauge.fallbacks,
+                    "max_slots": max(k, default=0),
+                    "table_entries": sum(1 << j for j in k),
                 }
-                for s in stages
+                for s, k in zip(stages, slots)
             ],
             "non_decreasing": not decreases,
             "decreases": [

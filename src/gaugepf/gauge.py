@@ -144,13 +144,15 @@ def node_weights(
     return out
 
 
-def slot_sums(w: np.ndarray) -> np.ndarray:
+def slot_sums(w: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     """``(R, k, 2)``: for every slot, the sums of rows of ``W`` over its bit = 0, 1.
 
     ``W`` is a :func:`node_weights` result.  Works from the top slot down:
     the two halves of the current array hold the top bit's two sums, and
     adding them folds that bit away.  About ``3 * 2**k`` additions per row,
-    all over contiguous blocks.
+    all over contiguous blocks.  With ``overwrite`` each fold is written
+    into its first half, so ``w`` is used as scratch and nothing table-sized
+    is allocated; the sums are the same, bit for bit.
     """
     rows, n = w.shape
     k = n.bit_length() - 1
@@ -158,7 +160,8 @@ def slot_sums(w: np.ndarray) -> np.ndarray:
     for i in reversed(range(k)):
         halves = w.reshape(rows, 2, 1 << i)
         np.add.reduce(halves, axis=2, out=out[:, i])
-        w = halves[:, 0] + halves[:, 1]
+        low = halves[:, 0]
+        w = np.add(low, halves[:, 1], out=low if overwrite else None)
     return out
 
 

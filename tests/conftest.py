@@ -14,13 +14,18 @@ def make_model(nodes, edges, tables):
     return MultiGM.from_tables(g, factors)
 
 
-def k44_stages():
-    """``(edge, stage)`` along the normal-first sequence of the K_{4,4}
-    monomer-dimer model with weights log-uniform in ``[1/2, 2]``, built as
-    ``bp_contract_sequence`` builds it: softened once by ``soft_model``,
-    then contracted exactly, ``edge`` being the one contracted next."""
+def k44_model():
+    """The K_{4,4} monomer-dimer model with weights log-uniform in ``[1/2,
+    2]``, softened once by ``soft_model``."""
     w = np.exp(np.random.default_rng(44).uniform(np.log(0.5), np.log(2.0), (4, 4)))
-    stage = soft_model(matching_model(4, 4, weights=w))
+    return soft_model(matching_model(4, 4, weights=w))
+
+
+def k44_stages():
+    """``(edge, stage)`` along the normal-first sequence of :func:`k44_model`,
+    built as ``bp_contract_sequence`` builds it: contracted exactly, ``edge``
+    being the one contracted next."""
+    stage = k44_model()
     for e in stage.graph.normal_first_order():
         yield e, stage
         stage = contract_model(stage, e)

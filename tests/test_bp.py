@@ -37,6 +37,7 @@ from gaugepf.bp import (
     PolySelfEdgeError,
     SolverConfig,
     _restarts,
+    check_polytope,
 )
 from gaugepf.families import (
     matching_model,
@@ -340,7 +341,12 @@ class TestBetheFreeEnergy:
             m = random_soft_model(rng, 5)
             g = solve_bp(m, FAST)
             assert g.converged
-            f_bp = bethe_free_energy(m, marginals_from_gauge(m, g.x))
+            bel = marginals_from_gauge(m, g.x)
+            before = {a: b.copy() for a, b in bel.node_beliefs.items()}
+            check_polytope(m, bel)
+            for a, b in before.items():  # the check reads the beliefs only
+                np.testing.assert_array_equal(bel.node_beliefs[a], b)
+            f_bp = bethe_free_energy(m, bel)
             assert f_bp == pytest.approx(-math.log(g.value), abs=1e-8)
 
     def test_tree_equals_minus_log_z(self, rng):
@@ -652,6 +658,28 @@ class TestContractSequence:
                 before = contract_model(prev.model, s.eliminated)
                 assert gauge_function(before, s.gauge.x) == pytest.approx(
                     prev.z_vbp, rel=1e-12, abs=0.0)
+
+    def test_only_normal_edge_stages_check_their_start(self, monkeypatch):
+        # a stage after a self-edge contraction sweeps its start straight
+        # away: the check would fail there, and the sweep is the same one
+        warm_solve = bp_mod._warm_solve
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return warm_solve(*args)
+
+        monkeypatch.setattr(bp_mod, "_warm_solve", recorded)
+        m = matching_model(3, 3)
+        stages = bp_contract_sequence(m, m.graph.normal_first_order(), FAST)
+        normal = [not prev.model.graph.is_self_edge(s.eliminated)
+                  for prev, s in zip(stages, stages[1:]) if s.n_edges]
+        assert [check for *_, check in calls] == normal
+        assert True in normal and False in normal
+        for model, start, cfg, check in calls:
+            if not check:
+                assert warm_solve(model, start, cfg, True) == warm_solve(
+                    model, start, cfg, False)
 
     def test_stages_are_exact_contractions_of_the_softened_model(self):
         # the model is softened once; every later stage is the previous one

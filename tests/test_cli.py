@@ -451,6 +451,13 @@ class TestCmdContract:
         assert len(sweeps) == 7
         assert sweeps[0] > 0 and sweeps[1:5] == [0] * 4 and sweeps[5] > 0
         assert sweeps[6] == 0
+        # each stage's largest table and its entries over all tables: two
+        # 3-slot and three 2-slot tables; the first left node takes in the
+        # three right ones, then the other left node, and the two
+        # self-edges that leaves are contracted last
+        assert [(s["max_slots"], s["table_entries"]) for s in stages] == [
+            (3, 28), (3, 24), (3, 20), (3, 16), (4, 16), (2, 4), (0, 1)
+        ]
 
     def test_bp_sequence_reports_softening(self, capsys, tmp_path, rng):
         for m, softened in ((matching_model(2, 2), True),

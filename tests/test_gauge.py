@@ -232,7 +232,7 @@ class TestNodeWeights:
     """The node-table kernel against brute-force sums over configurations."""
 
     @given(
-        k=st.integers(0, 10),
+        k=st.integers(0, 12),
         rows=st.integers(1, 4),
         with_w0=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
@@ -260,6 +260,8 @@ class TestNodeWeights:
                 [brute[:, [b[i] == v for b in bits]].sum(axis=1) for v in (0, 1)], axis=1
             )
             np.testing.assert_allclose(slot_sums(w)[:, i], expected, rtol=1e-12)
+        # folding in place, into a copy of ``w``, gives the same sums bit for bit
+        np.testing.assert_array_equal(slot_sums(w.copy(), overwrite=True), slot_sums(w))
 
         for r in range(rows):
             one = node_weights(table, w1[r : r + 1], None if w0 is None else w0[r : r + 1])

@@ -21,12 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugepf.bp as bp_mod
-from gaugepf.bp import DegenerateEdgeError, SolverConfig, _restarts, solve_bp
+from gaugepf.bp import (
+    DegenerateEdgeError,
+    SolverConfig,
+    _restarts,
+    bp_contract_sequence,
+    solve_bp,
+)
 from gaugepf.families import attach_random_factors, matching_model
 from gaugepf.gauge import gauge_function, monomials, node_weights
 from gaugepf.multigraph import DirectedEdge, MultiGraph
 
-from conftest import k44_stage
+from conftest import k44_model, k44_stage
 from test_batched_solver import reference_restarts
 
 REL = 1e-12
@@ -317,11 +323,12 @@ def test_hard_model_raises_degenerate_edge():
 
 
 def test_plan_memory_bound():
-    """A batch keeps about three ``(rows, 2**k)`` arrays per ``k``-slot node
-    (see ``_BATCH_ENTRIES``): the weight vectors, the buffer that the residual
-    pass weighs the table into and the sweep folds the chain into, and
-    ``slot_sums``' halves.  The 16-slot stage of the softened K_{4,4}
-    normal-first sequence runs its 16 restarts in batches of 4."""
+    """A batch keeps two ``(rows, 2**k)`` arrays per ``k``-slot node (see
+    ``_BATCH_ENTRIES``): the weight vectors, and the buffer that the
+    residual pass weighs the table into and folds it in, and a sweep folds
+    the chain into.  The layout's copy of the table adds a quarter of one.
+    The 16-slot stage of the softened K_{4,4} normal-first sequence runs its
+    16 restarts in batches of 4."""
     cfg = SolverConfig(restarts=16, max_sweeps=3)
     stage = k44_stage(16)
     k = max(len(f.variables) for f in stage.factors.values())
@@ -334,4 +341,32 @@ def test_plan_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * rows * 2**k * 8
+    assert peak <= 2.5 * rows * 2**k * 8
+
+
+def test_checked_stage_memory_bound():
+    """A checked warm start and ``bp_residual`` weigh the table into the
+    weight vector and fold it there: they peak at two table-sized arrays,
+    the weight vector and the layout's copy of the table.  The 18-slot
+    stage of the softened K_{4,4} normal-first sequence follows its last
+    normal-edge contraction, so the previous stage's gauge passes the check."""
+    cfg = SolverConfig(restarts=2)
+    m = k44_model()
+    stages = bp_contract_sequence(m, m.graph.normal_first_order(), cfg)
+    stage = k44_stage(18)
+    (kept,) = [s for s in stages if s.n_edges == len(stage.graph.edges)]
+    assert kept.warm and kept.gauge.sweeps == 0
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    table = 2**18 * 8
+    _, residual_peak = peak(lambda: bp_mod.bp_residual(stage, kept.gauge.x))
+    assert residual_peak <= 2.1 * table
+    g, check_peak = peak(lambda: bp_mod._warm_solve(stage, kept.gauge.x, cfg, True))
+    assert g.sweeps == 0
+    assert check_peak <= 2.1 * table
