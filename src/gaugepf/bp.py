@@ -57,16 +57,19 @@ weight vectors' gather, once a sweep on ``(2, rows)``-sized blocks, are
 plain numpy expressions.  Memory is ``O(rows * 2**k)`` for a ``k``-slot
 node; the restarts are split into batches that keep it bounded on large
 tables.  The single-gauge entry points are the same code on one column:
-``_at_gauge`` checks a gauge and runs the residual pass in the gauge's
-weight vectors, so it holds two table-sized arrays, and
-:func:`saddle_check` reads an edge's quadratic from the first step of a
-one-column sweep plan and takes the profile's Hessian in closed form.
+``_at_gauge`` is the one place a single gauge column is evaluated, by a
+residual pass in the column's own weight vectors, so it holds two
+table-sized arrays; :func:`bp_residual`, a warm stage's check and the loop
+series' convergence gate call it on a layout in the solver's edge order,
+so they read the residual the solver stopped on.  :func:`saddle_check`
+reads an edge's quadratic from the first step of a one-column sweep plan
+and takes the profile's Hessian in closed form.
 :func:`bp_contract_sequence` solves its first stage with restarts and each
 later one with a single restart started from the previous stage's gauge,
 falling back to restarts when that one does not converge or its value
 drops.  After a normal-edge contraction, which BP eliminates exactly
 (:func:`bp_normal_contract`), the start is already a BP gauge: that warm
-stage checks it with one residual pass, as ``_at_gauge`` does, and keeps it
+stage checks it with one ``_at_gauge`` pass and keeps it
 unswept when it is within the tolerance.  After a self-edge contraction the
 start is swept without a check.  The warm restart takes full, undamped
 steps, capped at the sweeps stage 0's chosen restart took, and has no
@@ -339,14 +342,16 @@ def _values(totals: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.exp(log_z)
 
 
-def _at_gauge(m: MultiGM, x: GaugeVector) -> tuple[float, np.ndarray, _Layout]:
-    """Check gauge ``x``; its residual, ``log z``'s gradient column and its layout."""
-    check_gauge(m, x)
-    lay = _Layout.of(m, m.graph.edges)
-    col = lay.column(x)
+def _at_gauge(lay: _Layout, col: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Gauge column ``col``'s residual, ``log z``'s gradient column and
+    every node's total ``h_a``.
+
+    One residual pass, folded in the column's own weight vectors; that
+    buffer is freed on return.
+    """
     mono = lay.weight_vectors(col)
-    res, grad, _, _ = _residual_parts(lay, col, mono, mono)
-    return float(res[0]), grad, lay
+    res, grad, _, totals = _residual_parts(lay, col, mono, mono)
+    return float(res[0]), grad, totals
 
 
 def bp_residual(m: MultiGM, x: GaugeVector) -> dict[DirectedEdge, float]:
@@ -357,8 +362,9 @@ def bp_residual(m: MultiGM, x: GaugeVector) -> dict[DirectedEdge, float]:
     """
     if not m.is_soft:
         raise ModelError("residuals need a soft model; soften it first")
-    _, grad, lay = _at_gauge(m, x)
-    return lay.gauge(grad)
+    check_gauge(m, x)
+    lay = _Layout.of(m, sorted(m.graph.edges))
+    return lay.gauge(_at_gauge(lay, lay.column(x))[1])
 
 
 # -- closed-form edge update ----------------------------------------------
@@ -592,22 +598,20 @@ def _unconverged(plan: _Plan, tol: float) -> bool:
     return bool(plan.bound.min() > _MARGIN * tol)
 
 
-def _lockstep(
-    lay: _Layout, x: np.ndarray, cfg: SolverConfig
-) -> list[tuple[np.ndarray, float, float, int, bool, int]]:
+def _lockstep(lay: _Layout, x: np.ndarray, cfg: SolverConfig) -> list[BPGauge]:
     """Sweep a batch of restarts together, each until its own convergence.
 
     Column ``r`` of ``x``, laid out by ``lay``, is restart ``r``'s initial
-    gauge.  Returns per restart the final gauge column, residual, value
-    ``z(x)``, sweep count, convergence flag and the number of sweeps that
-    ended with a value on a ``_CLAMP`` bound.  A restart leaves the batch
-    after the sweep that brings its residual within the tolerance, so its
-    iterates are exactly those of a solve on its own; the batch then gets a
-    new :class:`_Plan` for the rows that remain.  The full residual pass
-    runs only after a sweep whose first edge, read again at the new gauge,
-    leaves some row within ``_MARGIN`` times the tolerance
-    (:func:`_unconverged`), and after the last sweep; the others cannot
-    stop a row, so skipping them changes no result.
+    gauge.  Returns per restart its :class:`BPGauge`: the final gauge,
+    residual, value ``z(x)``, sweep count, convergence flag and the number
+    of sweeps that ended with a value on a ``_CLAMP`` bound.  A restart
+    leaves the batch after the sweep that brings its residual within the
+    tolerance, so its iterates are exactly those of a solve on its own; the
+    batch then gets a new :class:`_Plan` for the rows that remain.  The
+    full residual pass runs only after a sweep whose first edge, read again
+    at the new gauge, leaves some row within ``_MARGIN`` times the
+    tolerance (:func:`_unconverged`), and after the last sweep; the others
+    cannot stop a row, so skipping them changes no result.
     """
     x = x.copy()
     n = x.shape[1]
@@ -634,17 +638,10 @@ def _lockstep(
             del plan  # free the batch's buffers before the smaller plan's
             plan = _Plan(lay, x)
     converged = res <= cfg.tolerance
-    return [(final[:, i], float(res[i]), float(value[i]), int(sweeps[i]),
-             bool(converged[i]), int(clamped[i])) for i in range(n)]
-
-
-def _gauges(lay: _Layout, x0: np.ndarray, cfg: SolverConfig) -> list[BPGauge]:
-    """:func:`_lockstep` from the columns of ``x0``, as :class:`BPGauge` results."""
-    return [
-        BPGauge(x=lay.gauge(col), residual=res, value=value, sweeps=sweeps,
-                converged=converged, clamped=clamped)
-        for col, res, value, sweeps, converged, clamped in _lockstep(lay, x0, cfg)
-    ]
+    return [BPGauge(x=lay.gauge(final[:, i]), residual=float(res[i]),
+                    value=float(value[i]), sweeps=int(sweeps[i]),
+                    converged=bool(converged[i]), clamped=int(clamped[i]))
+            for i in range(n)]
 
 
 # A cold restart's undamped phase: at most this many sweeps, to this factor
@@ -682,10 +679,10 @@ def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
     out = []
     for start in range(0, cfg.restarts, batch):
         x = x0[:, start : start + batch]
-        runs = _gauges(lay, x, first)
+        runs = _lockstep(lay, x, first)
         redo = [i for i, g in enumerate(runs) if not g.converged]
         if first is not cfg and redo:
-            for i, g in zip(redo, _gauges(lay, x[:, redo], cfg)):
+            for i, g in zip(redo, _lockstep(lay, x[:, redo], cfg)):
                 runs[i] = replace(g, sweeps=runs[i].sweeps + g.sweeps, fallbacks=1)
         out += runs
     return out
@@ -700,8 +697,8 @@ def _warm_solve(
     :func:`bp_contract_sequence` passes a ``cfg`` with ``damping=0`` and
     ``max_sweeps`` capped at stage 0's sweeps, so a warm stage takes full
     steps and gives up after no more sweeps than stage 0's cold solve took.
-    With ``check`` the start is checked first, by one residual pass that
-    weighs the tables into the start's weight vectors: a start within the
+    With ``check`` the start is checked first, by :func:`_at_gauge`'s one
+    residual pass in the start's weight vectors: a start within the
     tolerance is the result as it is, with 0 sweeps, and any other is
     swept, the check's buffer freed before the sweep plan is built.
     Without it the start is swept straight away.
@@ -709,14 +706,12 @@ def _warm_solve(
     lay = _Layout.of(m, sorted(m.graph.edges))
     x0 = lay.column(start)
     if check:
-        mono = lay.weight_vectors(x0)
-        res, _, _, totals = _residual_parts(lay, x0, mono, mono)
-        del mono
-        if res[0] <= cfg.tolerance:
+        res, _, totals = _at_gauge(lay, x0)
+        if res <= cfg.tolerance:
             value = float(_values(totals, x0)[0])
-            return BPGauge(x=lay.gauge(x0), residual=float(res[0]), value=value,
+            return BPGauge(x=lay.gauge(x0), residual=res, value=value,
                            sweeps=0, converged=True, stationary_values=(value,))
-    (g,) = _gauges(lay, x0, cfg)
+    (g,) = _lockstep(lay, x0, cfg)
     return replace(g, stationary_values=(g.value,) if g.converged else ())
 
 
@@ -776,12 +771,8 @@ def solve_bp(m: MultiGM, cfg: SolverConfig = SolverConfig()) -> BPGauge:
             distinct.append(v)
     chosen = best if best is not None else lowest
     assert chosen is not None
-    return BPGauge(
-        x=chosen.x, residual=chosen.residual, value=chosen.value,
-        sweeps=chosen.sweeps, converged=chosen.converged,
-        softened=softened, stationary_values=tuple(distinct),
-        clamped=chosen.clamped, fallbacks=fallbacks,
-    )
+    return replace(chosen, softened=softened, stationary_values=tuple(distinct),
+                   fallbacks=fallbacks)
 
 
 # -- beliefs and free energy ------------------------------------------------

@@ -254,10 +254,6 @@ def _solver_config(args: argparse.Namespace) -> bp_mod.SolverConfig:
     )
 
 
-def _gauge_doc(x: dict[DirectedEdge, float]) -> dict[str, float]:
-    return {str(d): v for d, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
-
-
 # -- commands ----------------------------------------------------------------
 # Each model command returns its report's ``results`` and the exit code;
 # :func:`main` wraps them in the report.
@@ -285,12 +281,12 @@ def cmd_bp(m: MultiGM, args: argparse.Namespace) -> tuple[dict, int]:
         "softened": msoft is not m,
         "clamped": g.clamped,
         "fallbacks": g.fallbacks,
-        "gauge": _gauge_doc(g.x),
+        "gauge": {str(d): v for d, v in g.x.items()},
         "stationary_values": list(g.stationary_values),
     }
     if g.converged:
         beliefs = bp_mod.marginals_from_gauge(msoft, g.x)
-        results["beta"] = {e: beliefs.edge_marginals[e] for e in sorted(msoft.graph.edges)}
+        results["beta"] = beliefs.edge_marginals
         results["bethe_free_energy"] = bp_mod.bethe_free_energy(msoft, beliefs)
         results["interior_margin"] = beliefs.interior_margin()
     if len(m.graph.edges) <= args.guard:

@@ -191,7 +191,9 @@ def gauge_function(m: MultiGM, x: GaugeVector) -> float:
     ``inf``, and a node with ``h_a = 0`` makes it 0.
     """
     check_gauge(m, x)
-    h = np.array([h_node(m, a, x) for a in m.graph.nodes])
+    # h_node per node, without checking every slot again
+    factors = [m.factors[a] for a in m.graph.nodes]
+    h = np.array([_reduce_one(f, [x[d] for d in f.variables]) for f in factors])
     prod = [x[DirectedEdge(e, True)] * x[DirectedEdge(e, False)] for e in m.graph.edges]
     with np.errstate(divide="ignore", over="ignore"):
         log_z = math.fsum(np.log(h).tolist()) - math.fsum(np.log1p(prod).tolist())

@@ -6,17 +6,18 @@ which no node has colored degree one, a self-edge counting twice toward its
 node's degree (it colors two slots at once, which the cancellation does not
 reach).  Summing the surviving terms reproduces the partition function
 exactly, for any BP gauge.  Each term is a product of lookups in per-node
-colored tables, built once per call by :func:`gauge.slot_map`.
+colored tables and of the colored edges' beliefs ``beta``; both are built
+once per call, the tables by :func:`gauge.slot_map`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .bp import NonConvergenceError, _at_gauge
-from .gauge import GaugeVector, edge_belief, gauge_function, slot_map
+from .bp import NonConvergenceError, _at_gauge, _Layout
+from .gauge import GaugeVector, check_gauge, edge_belief, gauge_function, slot_map
 from .model import DEFAULT_ENUMERATION_GUARD, Config, EnumerationGuardError, MultiGM
-from .multigraph import MultiGraph, NodeId
+from .multigraph import EdgeId, MultiGraph, NodeId
 
 CONVERGENCE_THRESHOLD = 1e-6
 
@@ -72,37 +73,42 @@ def enumerate_generalized_loops(
     return sorted(loops, key=lambda c: sum(b << j for j, b in enumerate(c)))
 
 
-def _at_bp_gauge(m: MultiGM, x_bp: GaugeVector) -> tuple[ColoredTables, float]:
-    """Colored tables ``Q_a`` and ``z(x)``, after checking ``x_bp`` is a BP gauge.
+def _at_bp_gauge(
+    m: MultiGM, x_bp: GaugeVector
+) -> tuple[ColoredTables, float, dict[EdgeId, float]]:
+    """Colored tables ``Q_a``, ``z(x)`` and every edge's belief ``beta``,
+    after checking ``x_bp`` is a BP gauge.
 
-    ``Q_a[sigma_a]`` is node ``a``'s table reduced at the coloring
-    ``sigma_a`` of its slots, so ``Q_a[0]`` is ``h_a``.
+    The check reads the residual the solver stops on, from a layout in its
+    edge order.  ``Q_a[sigma_a]`` is node ``a``'s table reduced at the
+    coloring ``sigma_a`` of its slots, so ``Q_a[0]`` is ``h_a``.
     """
-    res = _at_gauge(m, x_bp)[0]
+    check_gauge(m, x_bp)
+    lay = _Layout.of(m, sorted(m.graph.edges))
+    res = _at_gauge(lay, lay.column(x_bp))[0]
     if res > CONVERGENCE_THRESHOLD:
         raise NonConvergenceError(
             f"gauge residual {res:.3e} exceeds {CONVERGENCE_THRESHOLD:g}; "
             "loop terms are only meaningful at a BP gauge"
         )
+    beta = {e: edge_belief(x_bp, e) for e in m.graph.edges}
     tables = {}
     for a, f in m.factors.items():
-        mats = []
-        for d in f.variables:
-            beta = edge_belief(x_bp, d.edge)
-            mats.append(((1.0, x_bp[d]), (-beta, x_bp[d] * (1.0 - beta))))
+        mats = [((1.0, x_bp[d]), (-beta[d.edge], x_bp[d] * (1.0 - beta[d.edge])))
+                for d in f.variables]
         tables[a] = slot_map(f.table, mats).tolist()
-    return tables, gauge_function(m, x_bp)
+    return tables, gauge_function(m, x_bp), beta
 
 
 def _term(
-    m: MultiGM, x_bp: GaugeVector, tables: ColoredTables, z_bp: float, config: Sequence[int]
+    m: MultiGM, tables: ColoredTables, z_bp: float, beta: dict[EdgeId, float],
+    config: Sequence[int],
 ) -> float:
     bit = {e: int(config[j]) for j, e in enumerate(m.graph.edges)}
     term = z_bp
     for e, b in bit.items():
         if b:
-            beta = edge_belief(x_bp, e)
-            term /= beta * (1.0 - beta)
+            term /= beta[e] * (1.0 - beta[e])
     for a, f in m.factors.items():
         sigma = sum(bit[d.edge] << j for j, d in enumerate(f.variables))
         if sigma:
@@ -117,15 +123,15 @@ def loop_term(m: MultiGM, x_bp: GaugeVector, config: Sequence[int]) -> float:
     the empty loop contributes ``z(x)`` itself.  Equals the corresponding
     series term ``z(sigma|x)``.
     """
-    return _term(m, x_bp, *_at_bp_gauge(m, x_bp), config)
+    return _term(m, *_at_bp_gauge(m, x_bp), config)
 
 
 def loop_series_sum(
     m: MultiGM, x_bp: GaugeVector, guard: int = DEFAULT_ENUMERATION_GUARD
 ) -> float:
     """Sum of all generalized-loop terms: the exact partition function."""
-    tables, z_bp = _at_bp_gauge(m, x_bp)
+    tables, z_bp, beta = _at_bp_gauge(m, x_bp)
     total = 0.0
     for config in enumerate_generalized_loops(m.graph, guard=guard):
-        total += _term(m, x_bp, tables, z_bp, config)
+        total += _term(m, tables, z_bp, beta, config)
     return total

@@ -11,18 +11,18 @@ variables by it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 NodeId = str
 EdgeId = str
 
 
-@dataclass(frozen=True, order=True)
-class DirectedEdge:
+class DirectedEdge(NamedTuple):
     """One orientation of an undirected edge.
 
     ``positive`` selects between the two siblings; ``sibling`` is the
-    reversal, an involution.
+    reversal, an involution.  A tuple, so hashing and comparing a dart run
+    in C; it equals the plain tuple ``(edge, positive)``.
     """
 
     edge: EdgeId

@@ -63,6 +63,12 @@ def random_gauge(m, rng, lo=0.25, hi=4.0):
     }
 
 
+def solver_column(m, x):
+    """The solver's layout of ``m``, edges in sorted order, and ``x`` as its column."""
+    lay = bp_mod._Layout.of(m, sorted(m.graph.edges))
+    return lay, lay.column(x)
+
+
 class TestResidual:
     def test_zero_at_bp_gauge(self, two_node_model):
         x = {D("e1", True): 4.0 / 3.0, D("e1", False): 2.0}
@@ -96,6 +102,23 @@ class TestResidual:
         x = {d: 1.0 for d in m.graph.directed_edges()}
         with pytest.raises(ModelError):
             bp_residual(m, x)
+
+    def test_solver_layout_reads_the_solved_residual_and_value(self):
+        # with 11 or more edges, e10 sorts before e2: the solver's edge order
+        # is not construction order, and a residual pass in construction
+        # order sums differently; on the solver's layout both the residual
+        # and z(x) of a converged gauge come out bit for bit
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n_edges = int(rng.integers(11, 15))
+            m = random_soft_model(rng, n_edges, n_nodes=max(2, 2 * n_edges // 3))
+            assert list(m.graph.edges) != sorted(m.graph.edges)
+            g = solve_bp(m, FAST)
+            assert g.converged
+            lay, col = solver_column(m, g.x)
+            res, _, totals = bp_mod._at_gauge(lay, col)
+            assert res == g.residual
+            assert bp_mod._values(totals, col)[0] == g.value
 
 
 @pytest.mark.parametrize(
@@ -650,7 +673,7 @@ class TestContractSequence:
                 assert set(s.gauge.x) == set(s.model.graph.directed_edges())
                 assert s.gauge.x == {d: prev.gauge.x[d] for d in s.gauge.x}
                 assert s.gauge.residual <= tol
-                assert bp_mod._at_gauge(s.model, s.gauge.x)[0] <= tol
+                assert bp_mod._at_gauge(*solver_column(s.model, s.gauge.x))[0] <= tol
                 assert s.z_vbp == pytest.approx(gauge_function(s.model, s.gauge.x),
                                                 rel=1e-12, abs=0.0)
                 # the contraction keeps z(x), and the stage model is exactly

@@ -146,7 +146,7 @@ def test_residual_pass_runs_on_a_minority_of_sweeps(monkeypatch):
     for damping, least in ((0.5, 30), (0.0, 10)):
         counts.update(sweeps=0, passes=0)
         cfg = SolverConfig(damping=damping)
-        ((_, _, _, sweeps, converged, _),) = bp_mod._lockstep(lay, x0, cfg)
-        assert converged
-        assert counts["sweeps"] == sweeps >= least
+        (g,) = bp_mod._lockstep(lay, x0, cfg)
+        assert g.converged
+        assert counts["sweeps"] == g.sweeps >= least
         assert counts["passes"] < counts["sweeps"] / 2

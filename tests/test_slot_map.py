@@ -147,18 +147,18 @@ def test_loop_terms_match_reference():
         g = solve_bp(m, SolverConfig(restarts=2, seed=int(rng.integers(1 << 31))))
         assert g.converged
         z = partition_exact(m)
-        tables, z_bp = _at_bp_gauge(m, g.x)
+        tables, z_bp, beta = _at_bp_gauge(m, g.x)
         assert z_bp == gauge_function(m, g.x)
         configs = enumerate_generalized_loops(m.graph)
         total = 0.0
         for config in configs:
-            term = _term(m, g.x, tables, z_bp, config)
+            term = _term(m, tables, z_bp, beta, config)
             assert type(term) is float
             total += term
             worst = max(worst, abs(term - _term_reference(m, g.x, z_bp, config)) / z)
         assert loop_series_sum(m, g.x) == total
         if i % 10 == 0:
             for config in configs:
-                assert loop_term(m, g.x, config) == _term(m, g.x, tables, z_bp, config)
+                assert loop_term(m, g.x, config) == _term(m, tables, z_bp, beta, config)
     assert worst <= 1e-12, f"worst term difference {worst:.2e} * Z"
 

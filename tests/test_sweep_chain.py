@@ -106,7 +106,7 @@ def _check_chain(m, x0, cfg, monkeypatch):
     out = bp_mod._lockstep(lay, x0, cfg)
     monkeypatch.undo()
 
-    sweeps = np.array([o[3] for o in out])
+    sweeps = np.array([g.sweeps for g in out])
     x = x0.copy()
     calls = iter(calls)
     lo, hi = bp_mod._CLAMP
@@ -128,11 +128,10 @@ def _check_chain(m, x0, cfg, monkeypatch):
             step = cfg.damping * x[np.ix_(rows, active)] + (1.0 - cfg.damping) * target
             x[np.ix_(rows, active)] = np.minimum(np.maximum(step, lo), hi)
         for r in active[sweeps[active] == sweep]:
-            np.testing.assert_array_equal(out[r][0], x[:, r])
+            np.testing.assert_array_equal(lay.column(out[r].x)[:, 0], x[:, r])
     assert next(calls, None) is None
-    for col, _, value, *_ in out:
-        z = gauge_function(m, dict(zip(lay.darts, col.tolist())))
-        assert value == pytest.approx(z, rel=REL)
+    for g in out:
+        assert g.value == pytest.approx(gauge_function(m, g.x), rel=REL)
     return out
 
 
@@ -211,7 +210,7 @@ def test_two_sweeps_match_reference(name, rows, monkeypatch):
     m = MODELS[name]()
     cfg = SolverConfig(max_sweeps=2)
     out = _check_chain(m, _x0(m, rows, seed=rows), cfg, monkeypatch)
-    assert [o[3] for o in out] == [2] * rows
+    assert [g.sweeps for g in out] == [2] * rows
 
 
 def test_row_retiring_mid_solve(monkeypatch):
@@ -222,8 +221,8 @@ def test_row_retiring_mid_solve(monkeypatch):
     x0 = _x0(m, 3, seed=7)
     x0[:, 1] = [g.x[d] for d in darts]  # a fixed point: done after one sweep
     out = _check_chain(m, x0, SolverConfig(max_sweeps=3), monkeypatch)
-    assert [o[3] for o in out] == [3, 1, 3]
-    assert out[1][4]
+    assert [g.sweeps for g in out] == [3, 1, 3]
+    assert out[1].converged
 
 
 # -- the chain step on its own ---------------------------------------------------
