@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, NoReturn, Sequence
 
 import numpy as np
@@ -79,14 +81,71 @@ def _bit_keys(k: int) -> list[str]:
     return keys
 
 
+def _bulk_table(table_field: dict, k: int) -> np.ndarray | None:
+    """A ``k``-slot table's values by index, read in bulk: the keys decoded
+    as one byte array and the values converted by one ``np.array`` call.
+    ``None`` unless every key is ``k`` characters of ``0``/``1`` and every
+    value a finite non-negative ``float``, ``int`` or ``bool``."""
+    keys = list(table_field)
+    values = list(table_field.values())
+    if not {float, int, bool}.issuperset(map(type, values)):
+        return None
+    # a key that is no string or not ASCII, or an integer beyond float range
+    # (OverflowError), sends the table to the entry-by-entry read
+    try:
+        if set(map(len, keys)) != {k}:
+            return None
+        codes = np.frombuffer("".join(keys).encode("ascii"), np.uint8)
+        floats = np.array(values, dtype=float)
+    except (TypeError, UnicodeEncodeError, OverflowError):
+        return None
+    bits = codes.reshape(len(keys), k) - ord("0")  # other characters read above 1
+    if bits.max(initial=0) > 1 or not (0 <= floats.min() and floats.max() < math.inf):
+        return None
+    # byte b of a packed row holds bits 8b to 8b + 7 of the entry's index
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    table = np.zeros(2**k)
+    table[packed @ 256 ** np.arange(packed.shape[1])] = floats
+    return table
+
+
+def _entry_table(a: str, table_field: dict, k: int) -> list[float]:
+    """The same values read one entry at a time, raising
+    :class:`ModelFileError` at the first offending entry in document order."""
+    index = {key: i for i, key in enumerate(_bit_keys(k))}
+    values = [0.0] * 2**k
+    for key, value in table_field.items():
+        idx = index.get(key)
+        if idx is None:
+            raise ModelFileError(
+                f"factor at node {a!r}: malformed bitstring key {key!r} "
+                f"(need length {k} over 0/1)"
+            )
+        try:
+            finite = isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an integer beyond float range
+            finite = False
+        if not finite:
+            raise ModelFileError(
+                f"factor at node {a!r}, entry {key!r}: not a finite number"
+            )
+        if value < 0:
+            raise ModelFileError(
+                f"factor at node {a!r}, entry {key!r}: negative value"
+            )
+        values[idx] = float(value)
+    return values
+
+
 def parse_model(doc: Any) -> MultiGM:
     """Parse the JSON model document into a model.
 
     A table maps bitstring keys to finite non-negative numbers; key ``i`` of a
-    ``k``-slot table has, at character ``j``, bit ``j`` of ``i``.  Keys are
-    decoded through one ``key -> index`` map per slot count, built per call.
-    A bad key or value raises :class:`ModelFileError` naming the node and the
-    first offending entry in document order.
+    ``k``-slot table has, at character ``j``, bit ``j`` of ``i``.  Each table
+    is decoded in bulk (:func:`_bulk_table`); only when that fails are its
+    entries read one by one, and a bad key or value raises
+    :class:`ModelFileError` naming the node and the first offending entry in
+    document order.
     """
     if not isinstance(doc, dict):
         raise ModelFileError("model document must be a JSON object")
@@ -109,7 +168,6 @@ def parse_model(doc: Any) -> MultiGM:
     factors_field = doc.get("factors")
     if not isinstance(factors_field, dict):
         raise ModelFileError('"factors" must map node ids to factor objects')
-    key_index: dict[int, dict[str, int]] = {}
     factors = {}
     for a in graph.nodes:
         entry = factors_field.get(a)
@@ -128,30 +186,9 @@ def parse_model(doc: Any) -> MultiGM:
         table_field = entry.get("table")
         if not isinstance(table_field, dict):
             raise ModelFileError(f"factor at node {a!r}: missing table object")
-        if k not in key_index:
-            key_index[k] = {key: i for i, key in enumerate(_bit_keys(k))}
-        index = key_index[k]
-        values = [0.0] * 2**k
-        for key, value in table_field.items():
-            idx = index.get(key)
-            if idx is None:
-                raise ModelFileError(
-                    f"factor at node {a!r}: malformed bitstring key {key!r} "
-                    f"(need length {k} over 0/1)"
-                )
-            try:
-                finite = isinstance(value, (int, float)) and math.isfinite(value)
-            except OverflowError:  # an integer beyond float range
-                finite = False
-            if not finite:
-                raise ModelFileError(
-                    f"factor at node {a!r}, entry {key!r}: not a finite number"
-                )
-            if value < 0:
-                raise ModelFileError(
-                    f"factor at node {a!r}, entry {key!r}: negative value"
-                )
-            values[idx] = float(value)
+        values = _bulk_table(table_field, k)
+        if values is None:
+            values = _entry_table(a, table_field, k)
         if len(table_field) < 2**k and entry.get("soft") is not False:
             raise ModelFileError(
                 f"factor at node {a!r}: sparse table (missing keys default "
@@ -161,9 +198,31 @@ def parse_model(doc: Any) -> MultiGM:
     return MultiGM.from_tables(graph, factors)
 
 
+def _written_factors(
+    m: MultiGM,
+) -> dict[str, tuple[tuple[DirectedEdge, ...], np.ndarray]]:
+    """Node -> ``(order, table)`` as the model file holds the factor: ``order``
+    is the incidence that :meth:`MultiGraph.build` gives the model's edge
+    list, which :func:`parse_model` requires, and ``table`` is permuted to
+    match.  Contraction leaves a merged node's darts in another order; every
+    other factor is returned as it is."""
+    g = m.graph
+    built = MultiGraph.build(g.nodes, [(e, *g.endpoints[e]) for e in g.edges])
+    written = {}
+    for a in g.nodes:
+        f, order = m.factors[a], built.incidence[a]
+        table = f.table
+        if order != f.variables:
+            perm = [f.variables.index(d) for d in order]
+            table = f.as_array().transpose(perm).reshape(-1, order="F")
+        written[a] = (order, table)
+    return written
+
+
 def model_to_doc(m: MultiGM) -> dict:
     """JSON document for a model: complete tables, keys as in
-    :func:`parse_model`, built once per slot count per call."""
+    :func:`parse_model`, built once per slot count per call, and each
+    factor in the order of :func:`_written_factors`."""
     keys: dict[int, list[str]] = {}
     doc: dict[str, Any] = {
         "nodes": list(m.graph.nodes),
@@ -173,21 +232,77 @@ def model_to_doc(m: MultiGM) -> dict:
         ],
         "factors": {},
     }
-    for a in m.graph.nodes:
-        f = m.factors[a]
-        k = len(f.variables)
+    for a, (order, table) in _written_factors(m).items():
+        k = len(order)
         if k not in keys:
             keys[k] = _bit_keys(k)
         doc["factors"][a] = {
-            "order": [str(d) for d in f.variables],
-            "table": dict(zip(keys[k], f.table.tolist())),
-            "soft": f.is_soft,
+            "order": [str(d) for d in order],
+            "table": dict(zip(keys[k], table.tolist())),
+            "soft": m.factors[a].is_soft,
         }
     return doc
 
 
+def _json_block(opening: str, items: list[str], closing: str, indent: int) -> str:
+    """A JSON array or object as ``json.dumps(..., indent=2)`` lays it out at
+    depth ``indent // 2``, from its already indented items."""
+    if not items:
+        return opening + closing
+    return f"{opening}\n" + ",\n".join(items) + f"\n{' ' * indent}{closing}"
+
+
+def _json_strings(strings: Sequence[str], indent: int) -> str:
+    pad = " " * (indent + 2)
+    items = [pad + encode_basestring_ascii(s) for s in strings]
+    return _json_block("[", items, "]", indent)
+
+
 def serialize_model(m: MultiGM) -> str:
-    return json.dumps(model_to_doc(m), sort_keys=True, indent=2) + "\n"
+    """The model file's text: ``json.dumps(model_to_doc(m), sort_keys=True,
+    indent=2)`` and a newline, written directly, since ``indent`` makes
+    ``json.dumps`` run its pure-Python encoder.
+
+    A ``k``-slot table's sorted keys are the binary numerals ``r`` with ``k``
+    digits, in order; numeral ``r`` is the key of entry ``bitreverse_k(r)``,
+    so the values in key order are the C-order ravel of the table's
+    ``as_array`` view.  They fill a ``%r`` template of the keys, made once
+    per slot count per call, so floats are written by ``float.__repr__`` as
+    in ``json.dumps``; strings are written by ``json.dumps``'s
+    ``encode_basestring_ascii``.
+    """
+    g, q = m.graph, encode_basestring_ascii
+    written = _written_factors(m)
+    templates: dict[int, str] = {}
+    factors = []
+    for a in sorted(written):
+        order, table = written[a]
+        k = len(order)
+        if k not in templates:
+            numerals = map("".join, itertools.product("01", repeat=k))
+            templates[k] = '        "' + '": %r,\n        "'.join(numerals) + '": %r'
+        values = table.reshape((2,) * k, order="F").ravel().tolist()
+        entries = templates[k] % tuple(values)
+        soft = "true" if m.factors[a].is_soft else "false"
+        factors.append(
+            f"    {q(a)}: {{\n"
+            f'      "order": {_json_strings([str(d) for d in order], 6)},\n'
+            f'      "soft": {soft},\n'
+            f'      "table": {{\n{entries}\n      }}\n'
+            "    }"
+        )
+    edges = [
+        f'    {{\n      "head": {q(g.endpoints[e][1])},\n      "id": {q(e)},\n'
+        f'      "tail": {q(g.endpoints[e][0])}\n    }}'
+        for e in g.edges
+    ]
+    return (
+        "{\n"
+        f'  "edges": {_json_block("[", edges, "]", 2)},\n'
+        f'  "factors": {_json_block("{", factors, "}", 2)},\n'
+        f'  "nodes": {_json_strings(g.nodes, 2)}\n'
+        "}\n"
+    )
 
 
 def load_model(path: str) -> MultiGM:

@@ -136,6 +136,9 @@ class TestModelFormat:
             (("factors", "a", "table"), {"0": float("nan"), "1": 2.0}),
             (("factors", "a", "table"), {"0": -1.0, "1": 2.0}),
             (("factors", "a", "table"), {"2": 1.0}),
+            (("factors", "a", "table"), {"0": float("inf"), "1": 2.0}),
+            (("factors", "a", "table"), {"0": 10**400, "1": 2.0}),
+            (("factors", "a", "table"), {"0": 1.0, "10": 2.0}),
         ],
     )
     def test_structural_mutations_rejected(self, two_node_model, path, value):
@@ -151,6 +154,43 @@ class TestModelFormat:
             target[path[-1]] = value
         with pytest.raises(ModelFileError):
             parse_model(doc)
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ({"0": 1.0, "x": 2.0}, "malformed bitstring key 'x' (need length 1 over 0/1)"),
+            ({"0": 1.0, "10": 2.0}, "malformed bitstring key '10' (need length 1 over 0/1)"),
+            ({"0": 1.0, "1": "2"}, "entry '1': not a finite number"),
+            ({"0": float("nan"), "1": 2.0}, "entry '0': not a finite number"),
+            ({"0": 1.0, "1": float("inf")}, "entry '1': not a finite number"),
+            ({"0": 1.0, "1": -0.5}, "entry '1': negative value"),
+            ({"0": 10**400, "1": 2.0}, "entry '0': not a finite number"),
+            ({"1": "x", "0": -1.0}, "entry '1': not a finite number"),
+            ({"1": 2.0}, 'sparse table (missing keys default to 0) requires an '
+                         'explicit "soft": false marker'),
+        ],
+        ids=["malformed key", "key length", "string", "NaN", "Infinity",
+             "negative", "huge integer", "document order", "sparse"],
+    )
+    def test_bad_entry_message(self, two_node_model, table, message):
+        # a table that fails the bulk read is read entry by entry, which
+        # names the first offending entry in document order
+        doc = json.loads(serialize_model(two_node_model))
+        doc["factors"]["a"]["table"] = table
+        with pytest.raises(ModelFileError) as exc:
+            parse_model(doc)
+        sep = ": " if message.startswith(("malformed", "sparse")) else ", "
+        assert str(exc.value) == f"factor at node 'a'{sep}{message}"
+
+    def test_booleans_and_integers_read_as_floats(self, two_node_model):
+        doc = json.loads(serialize_model(two_node_model))
+        doc["factors"]["a"]["table"] = {"0": True, "1": 2**60 + 1}
+        doc["factors"]["b"]["table"] = {"0": 3, "1": False}
+        doc["factors"]["b"]["soft"] = False
+        m = parse_model(doc)
+        assert m.factors["a"].table.tolist() == [1.0, float(2**60 + 1)]
+        assert m.factors["b"].table.tolist() == [3.0, 0.0]
+        assert all(type(v) is float for f in m.factors.values() for v in f.table.tolist())
 
     def test_isolated_node_empty_bitstring(self):
         # a degree-0 node has a single-entry table keyed by the empty string

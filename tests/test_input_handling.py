@@ -2,13 +2,16 @@
 
 Any model, self-edges and parallel edges included, survives a
 serialize/parse round trip bit for bit, and serializes to the same text as
-the per-character key construction below.  Every way of breaking a valid
+the per-character key construction below and as ``json.dumps`` of
+``model_to_doc``.  A contracted model reads back as the same model, each
+merged factor in the order the edge list builds.  Every way of breaking a valid
 document or file, and every out-of-range solver flag, makes each command
 exit 3 with an ``error:`` line on stderr and nothing on stdout.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -19,50 +22,101 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugepf import FactorTable, MultiGM, MultiGraph
-from gaugepf.cli import EXIT_INPUT, main, model_digest, parse_model, serialize_model
+from gaugepf import FactorTable, MultiGM, MultiGraph, contract_model
+from gaugepf.cli import (
+    EXIT_INPUT,
+    main,
+    model_digest,
+    model_to_doc,
+    parse_model,
+    serialize_model,
+)
+from gaugepf.model import ModelError, evaluate_weight, partition_exact
 
 from conftest import make_model
 
-# ids with the characters a dart name or a list could trip over
-IDS = st.text(alphabet="ab01_+-, ", min_size=1, max_size=3)
+# ids with the characters a dart name, a list or a JSON string could trip
+# over: a quote, a backslash, a non-ASCII letter and a control character
+IDS = st.text(alphabet='ab01_+-, "\\\u00e9\x01', min_size=1, max_size=3)
+
+# entries at the ends of the float range, written by float.__repr__
+EXTREMES = [5e-324, 1e-300, 1e300]
 
 
 @st.composite
 def models(draw):
-    """A model on 1-4 nodes with a self-edge, a parallel pair, possibly an
-    isolated node, and tables that may hold zeros."""
+    """A model on 1-4 nodes, edgeless or with a self-edge and a parallel
+    pair, edges only between the first ``ends`` nodes (the rest have 0
+    slots), and tables that may hold zeros (``"soft": false``) and the
+    entries of ``EXTREMES``."""
     nodes = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
-    node = st.sampled_from(nodes)
-    pairs = draw(st.lists(st.tuples(node, node), max_size=3))
-    a, b = draw(node), draw(node)
-    pairs += [(a, a), (a, b), (b, a)]
+    ends = draw(st.integers(1, len(nodes)))
+    node = st.sampled_from(nodes[:ends])
+    pairs = []
+    if draw(st.integers(0, 5)):
+        pairs = draw(st.lists(st.tuples(node, node), max_size=3))
+        a, b = draw(node), draw(node)
+        pairs += [(a, a), (a, b), (b, a)]
     ids = draw(st.lists(IDS, min_size=len(pairs), max_size=len(pairs), unique=True))
     graph = MultiGraph.build(nodes, [(e, t, h) for e, (t, h) in zip(ids, pairs)])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zeros = draw(st.floats(0.0, 0.5))
+    extremes = draw(st.sampled_from([0.0, 0.0, 0.2]))
     factors = {}
     for v in graph.nodes:
         k = len(graph.incidence[v])
         table = np.exp(rng.uniform(-30.0, 30.0, 1 << k))
         table[rng.random(1 << k) < zeros] = 0.0
+        special = rng.random(1 << k) < extremes
+        table[special] = rng.choice(EXTREMES, int(special.sum()))
         factors[v] = FactorTable.from_values(v, graph.incidence[v], table)
     return MultiGM.from_tables(graph, factors)
 
 
-@given(models())
-@settings(max_examples=60, deadline=None)
-def test_round_trip(m):
+def _contracted(m, data):
+    """``m`` after up to two contractions of drawn edges.  A merged node's
+    darts then stand in contraction order, not in the order the edge list
+    builds.  A contraction whose merged table overflows (two ``1e300``
+    entries) raises, and the model before it is kept."""
+    for _ in range(data.draw(st.integers(0, 2))):
+        if not m.graph.edges:
+            break
+        edge = data.draw(st.sampled_from(sorted(m.graph.edges)))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = contract_model(m, edge)
+        except ModelError:
+            break
+    return m
+
+
+@given(models(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_round_trip(m, data):
+    m = _contracted(m, data)
     text = serialize_model(m)
     m2 = parse_model(json.loads(text))
+    assert serialize_model(m2) == text
     assert m2.graph.nodes == m.graph.nodes
     assert m2.graph.edges == m.graph.edges
     assert dict(m2.graph.endpoints) == dict(m.graph.endpoints)
-    assert dict(m2.graph.incidence) == dict(m.graph.incidence)
-    for v in m.graph.nodes:
-        assert m2.factors[v].variables == m.factors[v].variables
-        assert m2.factors[v].table.tobytes() == m.factors[v].table.tobytes()
-    assert serialize_model(m2) == text
+    for config in itertools.product((0, 1), repeat=len(m.graph.edges)):
+        assert _same(evaluate_weight(m2, config), evaluate_weight(m, config))
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 entries overflow
+        assert _same(partition_exact(m2), partition_exact(m))
+    built = MultiGraph.build(
+        m.graph.nodes, [(e, *m.graph.endpoints[e]) for e in m.graph.edges]
+    )
+    if dict(built.incidence) == dict(m.graph.incidence):
+        assert dict(m2.graph.incidence) == dict(m.graph.incidence)
+        for v in m.graph.nodes:
+            assert m2.factors[v].variables == m.factors[v].variables
+            assert m2.factors[v].table.tobytes() == m.factors[v].table.tobytes()
+
+
+def _same(x, y):
+    """Equal floats, NaN (an ``inf * 0`` of extreme entries) included."""
+    return x == y or (math.isnan(x) and math.isnan(y))
 
 
 def reference_doc(m):
@@ -90,10 +144,13 @@ def reference_doc(m):
     }
 
 
-@given(models())
-@settings(max_examples=60, deadline=None)
-def test_serialize_matches_reference_text(m):
-    assert serialize_model(m) == json.dumps(reference_doc(m), sort_keys=True, indent=2) + "\n"
+@given(models(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_serialize_matches_reference_text(m, data):
+    text = serialize_model(m)
+    assert text == json.dumps(reference_doc(m), sort_keys=True, indent=2) + "\n"
+    c = _contracted(m, data)
+    assert serialize_model(c) == json.dumps(model_to_doc(c), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("m, digest", [
@@ -145,14 +202,16 @@ def broken_documents(draw):
     """The text of a valid model's document broken in one of ten ways."""
     text = serialize_model(draw(models()))
     doc = json.loads(text)
-    kind = draw(st.sampled_from([
+    kinds = [
         "truncated", "not an object", "missing section", "missing factor",
-        "bad entry", "bad key", "unknown node", "wrong order", "duplicate edge",
-        "incomplete edge",
-    ]))
+        "bad entry", "bad key", "wrong order",
+    ]
+    if doc["edges"]:
+        kinds += ["unknown node", "duplicate edge", "incomplete edge"]
+        edge = draw(st.sampled_from(doc["edges"]))
+    kind = draw(st.sampled_from(kinds))
     node = draw(st.sampled_from(sorted(doc["factors"])))
     factor = doc["factors"][node]
-    edge = draw(st.sampled_from(doc["edges"]))
     if kind == "truncated":
         return text[: draw(st.integers(0, len(text.rstrip()) - 1))]
     if kind == "not an object":
