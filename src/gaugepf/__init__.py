@@ -46,7 +46,6 @@ from .bp import (
     SolverConfig,
     bethe_free_energy,
     bp_contract_sequence,
-    bp_normal_contract,
     bp_residual,
     bp_value,
     edge_pair_update,

@@ -60,21 +60,21 @@ tables.  The single-gauge entry points are the same code on one column:
 ``_at_gauge`` is the one place a single gauge column is evaluated, by a
 residual pass in the column's own weight vectors, so it holds two
 table-sized arrays; :func:`bp_residual`, a warm stage's check and the loop
-series' convergence gate call it on a layout in the solver's edge order,
-so they read the residual the solver stopped on.  :func:`saddle_check`
+series' convergence gate call it on the solver's layout, ``_Layout.of``'s
+default, so they read the residual the solver stopped on.  :func:`saddle_check`
 reads an edge's quadratic from the first step of a one-column sweep plan
 and takes the profile's Hessian in closed form.
 :func:`bp_contract_sequence` solves its first stage with restarts and each
 later one with a single restart started from the previous stage's gauge,
 falling back to restarts when that one does not converge or its value
-drops.  After a normal-edge contraction, which BP eliminates exactly
-(:func:`bp_normal_contract`), the start is already a BP gauge: that warm
-stage checks it with one ``_at_gauge`` pass and keeps it
-unswept when it is within the tolerance.  After a self-edge contraction the
-start is swept without a check.  The warm restart takes full, undamped
-steps, capped at the sweeps stage 0's chosen restart took, and has no
-damped phase: it starts next to its fixed point, and damping only slows it
-there.
+drops.  After a normal-edge contraction the start is already a BP gauge,
+as :func:`bp_value` of a normal edge is ``h00 + h11``, the exact
+elimination's value: that warm stage checks it with one ``_at_gauge`` pass
+and keeps it unswept when it is within the tolerance.  After a self-edge
+contraction the start is swept without a check.  The warm restart takes
+full, undamped steps, capped at the sweeps stage 0's chosen restart took,
+and has no damped phase: it starts next to its fixed point, and damping
+only slows it there.
 The direct Bethe minimizer that cross-checks the solver lives apart from
 it, in :mod:`gaugepf.bethe`.
 """
@@ -100,7 +100,7 @@ from .gauge import (
 from .bethe import _xlogx
 from .model import ModelError, MultiGM, contract_model, soft_model
 from .multigraph import DirectedEdge, EdgeId, GraphError, NodeId
-from .poly import FactoredGaugePoly, QuadCoeffs, exact_contract_poly
+from .poly import QuadCoeffs
 
 
 class DegenerateEdgeError(ModelError):
@@ -113,10 +113,6 @@ class DegenerateEdgeError(ModelError):
 
 class NonConvergenceError(ModelError):
     """An operation required a converged BP gauge but none was supplied."""
-
-
-class PolySelfEdgeError(ModelError):
-    """BP normal-edge contraction was asked to eliminate a self-edge."""
 
 
 class ConfigError(ValueError):
@@ -227,11 +223,13 @@ class _Layout:
     steps: tuple[tuple[NodeId, NodeId, bool, bool], ...]
 
     @classmethod
-    def of(cls, m: MultiGM, edges: Sequence[EdgeId]) -> "_Layout":
-        """Layout for a sweep over ``edges`` in order.
+    def of(cls, m: MultiGM, edges: Sequence[EdgeId] | None = None) -> "_Layout":
+        """Layout for a sweep over ``edges`` in order, by default the
+        solver's: the edges sorted by id.
 
         A self-edge's two slots are adjacent, its positive one above.
         """
+        edges = sorted(m.graph.edges) if edges is None else edges
         # the graph's own darts: a gauge keyed by them is read by identity
         pos = {e: 2 * i for i, e in enumerate(edges)}
         darts = tuple(sorted(m.graph.directed_edges(),
@@ -363,7 +361,7 @@ def bp_residual(m: MultiGM, x: GaugeVector) -> dict[DirectedEdge, float]:
     if not m.is_soft:
         raise ModelError("residuals need a soft model; soften it first")
     check_gauge(m, x)
-    lay = _Layout.of(m, sorted(m.graph.edges))
+    lay = _Layout.of(m)
     return lay.gauge(_at_gauge(lay, lay.column(x))[1])
 
 
@@ -660,7 +658,7 @@ def _restarts(m: MultiGM, cfg: SolverConfig) -> list[BPGauge]:
     that do not converge in that phase run again from their initial draws
     with ``cfg``, and their ``sweeps`` count both phases.
     """
-    lay = _Layout.of(m, sorted(m.graph.edges))
+    lay = _Layout.of(m)
     rng = np.random.default_rng(cfg.seed)
     lo, hi = np.log(_INIT_RANGE[0]), np.log(_INIT_RANGE[1])
     # one draw per restart and dart, restart-major, darts in name order (the
@@ -703,7 +701,7 @@ def _warm_solve(
     swept, the check's buffer freed before the sweep plan is built.
     Without it the start is swept straight away.
     """
-    lay = _Layout.of(m, sorted(m.graph.edges))
+    lay = _Layout.of(m)
     x0 = lay.column(start)
     if check:
         res, _, totals = _at_gauge(lay, x0)
@@ -790,7 +788,12 @@ def marginals_from_gauge(m: MultiGM, x: GaugeVector) -> Beliefs:
     return Beliefs(node_beliefs=node_beliefs, edge_marginals=marginals)
 
 
-def check_polytope(m: MultiGM, bel: Beliefs, tol: float = 1e-9) -> None:
+# check_polytope's tolerance: a gauge's beliefs pass when its residual, which
+# bounds every |node marginal - beta| / beta, is within it (up to rounding)
+POLYTOPE_TOL = 1e-9
+
+
+def check_polytope(m: MultiGM, bel: Beliefs, tol: float = POLYTOPE_TOL) -> None:
     """Verify normalization and node/edge marginal consistency."""
     for a in m.graph.nodes:
         b = bel.node_beliefs[a]
@@ -942,10 +945,11 @@ def bp_contract_sequence(
     gauge on the darts that survive the contraction, which keep their ids.  That start is deterministic, so the sequence
     stays reproducible, and the warm stage's ``stationary_values`` holds
     its one value.  After the contraction of a normal edge the start is
-    already a BP gauge: BP's elimination of a normal edge is the exact one,
-    so at a BP gauge the merged node's total is the two old totals' product
-    over the edge's ``1 + x_p x_q``, every surviving dart keeps its tilted
-    mean, and the previous stage's BP gauge is one of this stage.  So such
+    already a BP gauge: :func:`bp_value` of a normal edge is ``h00 + h11``,
+    the exact elimination's value, so the merged node's total is the two old
+    totals' product over the edge's ``1 + x_p x_q``, every surviving dart
+    keeps its tilted mean, and the previous stage's BP gauge is one of this
+    stage.  So such
     a stage checks its start first: a start whose residual pass reads
     within ``cfg.tolerance`` is the stage's gauge, with 0 sweeps and the
     value of that pass, and any other is swept.  After a self-edge
@@ -1012,18 +1016,3 @@ def sequence_decreases(
         if s1.z_vbp < s0.z_vbp * (1.0 - rel_slack):
             out.append((s0.index, s0.z_vbp, s1.z_vbp))
     return out
-
-
-def bp_normal_contract(h: FactoredGaugePoly, edge: EdgeId) -> FactoredGaugePoly:
-    """BP elimination of a normal edge; identical to the exact operator.
-
-    Exposed separately because for self-edges the BP reduction is a
-    fractional, not polynomial, function and no such operator exists.
-    """
-    d_p, d_q = DirectedEdge(edge, True), DirectedEdge(edge, False)
-    if h.factor_of(d_p) == h.factor_of(d_q):
-        raise PolySelfEdgeError(
-            f"edge {edge!r} is a self-edge: BP contraction of a self-edge "
-            "is not polynomial"
-        )
-    return exact_contract_poly(h, edge)

@@ -83,24 +83,25 @@ def _bit_keys(k: int) -> list[str]:
 
 def _bulk_table(table_field: dict, k: int) -> np.ndarray | None:
     """A ``k``-slot table's values by index, read in bulk: the keys decoded
-    as one byte array and the values converted by one ``np.array`` call.
-    ``None`` unless every key is ``k`` characters of ``0``/``1`` and every
-    value a finite non-negative ``float``, ``int`` or ``bool``."""
+    as one byte array and the values converted by one ``np.array`` call;
+    missing keys read as 0.  ``None`` unless every key is ``k`` characters
+    of ``0``/``1`` and every value a finite non-negative number."""
     keys = list(table_field)
     values = list(table_field.values())
-    if not {float, int, bool}.issuperset(map(type, values)):
+    if not all(issubclass(t, (int, float)) for t in set(map(type, values))):
         return None
     # a key that is no string or not ASCII, or an integer beyond float range
-    # (OverflowError), sends the table to the entry-by-entry read
+    # (OverflowError), is left to :func:`_bad_entry`
     try:
-        if set(map(len, keys)) != {k}:
+        if not set(map(len, keys)) <= {k}:
             return None
         codes = np.frombuffer("".join(keys).encode("ascii"), np.uint8)
         floats = np.array(values, dtype=float)
     except (TypeError, UnicodeEncodeError, OverflowError):
         return None
     bits = codes.reshape(len(keys), k) - ord("0")  # other characters read above 1
-    if bits.max(initial=0) > 1 or not (0 <= floats.min() and floats.max() < math.inf):
+    lo, hi = floats.min(initial=0), floats.max(initial=0)  # a NaN fails both tests
+    if bits.max(initial=0) > 1 or not (0 <= lo and hi < math.inf):
         return None
     # byte b of a packed row holds bits 8b to 8b + 7 of the entry's index
     packed = np.packbits(bits, axis=1, bitorder="little")
@@ -109,14 +110,12 @@ def _bulk_table(table_field: dict, k: int) -> np.ndarray | None:
     return table
 
 
-def _entry_table(a: str, table_field: dict, k: int) -> list[float]:
-    """The same values read one entry at a time, raising
-    :class:`ModelFileError` at the first offending entry in document order."""
-    index = {key: i for i, key in enumerate(_bit_keys(k))}
-    values = [0.0] * 2**k
+def _bad_entry(a: str, table_field: dict, k: int) -> NoReturn:
+    """Raise :class:`ModelFileError` at the first entry, in document order,
+    that keeps :func:`_bulk_table` from reading the table."""
+    keys = set(_bit_keys(k))
     for key, value in table_field.items():
-        idx = index.get(key)
-        if idx is None:
+        if key not in keys:
             raise ModelFileError(
                 f"factor at node {a!r}: malformed bitstring key {key!r} "
                 f"(need length {k} over 0/1)"
@@ -133,8 +132,7 @@ def _entry_table(a: str, table_field: dict, k: int) -> list[float]:
             raise ModelFileError(
                 f"factor at node {a!r}, entry {key!r}: negative value"
             )
-        values[idx] = float(value)
-    return values
+    raise ModelFileError(f"factor at node {a!r}: unreadable table")
 
 
 def parse_model(doc: Any) -> MultiGM:
@@ -143,7 +141,7 @@ def parse_model(doc: Any) -> MultiGM:
     A table maps bitstring keys to finite non-negative numbers; key ``i`` of a
     ``k``-slot table has, at character ``j``, bit ``j`` of ``i``.  Each table
     is decoded in bulk (:func:`_bulk_table`); only when that fails are its
-    entries read one by one, and a bad key or value raises
+    entries looked at one by one, and a bad key or value raises
     :class:`ModelFileError` naming the node and the first offending entry in
     document order.
     """
@@ -188,7 +186,7 @@ def parse_model(doc: Any) -> MultiGM:
             raise ModelFileError(f"factor at node {a!r}: missing table object")
         values = _bulk_table(table_field, k)
         if values is None:
-            values = _entry_table(a, table_field, k)
+            _bad_entry(a, table_field, k)
         if len(table_field) < 2**k and entry.get("soft") is not False:
             raise ModelFileError(
                 f"factor at node {a!r}: sparse table (missing keys default "
@@ -359,7 +357,18 @@ def _emit(report: dict, json_path: str | None) -> None:
             fh.write(text)
 
 
+# the tolerance of the check a command runs on its solved gauge: a looser
+# ``--tol`` could converge and then fail it, so it is refused
+_TOL_CHECKS = {"bp": ("bp.POLYTOPE_TOL", bp_mod.POLYTOPE_TOL),
+               "verify": ("bp.POLYTOPE_TOL", bp_mod.POLYTOPE_TOL),
+               "loops": ("loops.CONVERGENCE_THRESHOLD", loops_mod.CONVERGENCE_THRESHOLD)}
+
+
 def _solver_config(args: argparse.Namespace) -> bp_mod.SolverConfig:
+    name, limit = _TOL_CHECKS.get(args.command, ("", math.inf))
+    if args.tol > limit:
+        raise UsageError(f"gaugepf {args.command}: --tol {args.tol:g} is looser than "
+                         f"{name} ({limit:g}), the check on the solved gauge")
     return bp_mod.SolverConfig(
         damping=args.damping,
         tolerance=args.tol,
@@ -676,6 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
         "BP, contraction sequences, and the loop series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    solver = bp_mod.SolverConfig()
     for name in ("exact", "bp", "contract", "loops", "verify"):
         p = sub.add_parser(name)
         if name == "verify":
@@ -687,18 +697,18 @@ def build_parser() -> argparse.ArgumentParser:
                            "2*EDGES-slot table, whose solve can take tens of seconds")
         else:
             p.add_argument("model", help="model JSON file")
-        if name != "exact":  # the solver's flags
-            p.add_argument("--tol", type=float, default=1e-10)
-            p.add_argument("--damping", type=float, default=0.5,
+        if name != "exact":  # the solver's flags, with its defaults
+            p.add_argument("--tol", type=float, default=solver.tolerance)
+            p.add_argument("--damping", type=float, default=solver.damping,
                            help="damping of the fallback solve: a random restart "
                            "takes full steps first and runs damped only if those "
                            "do not converge; 0 gives one undamped solve")
-            p.add_argument("--restarts", type=int, default=16)
-            p.add_argument("--max-sweeps", type=int, default=10_000,
+            p.add_argument("--restarts", type=int, default=solver.restarts)
+            p.add_argument("--max-sweeps", type=int, default=solver.max_sweeps,
                            help="sweeps per solve phase: the undamped phase takes "
                            f"at most min({bp_mod._UNDAMPED_SWEEPS}, MAX_SWEEPS), "
                            "the damped fallback MAX_SWEEPS")
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=solver.seed)
         if name != "verify":
             p.add_argument("--guard", type=int, default=DEFAULT_ENUMERATION_GUARD)
         p.add_argument("--json", metavar="PATH", help="also write the report here")

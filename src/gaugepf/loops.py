@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .bp import NonConvergenceError, _at_gauge, _Layout
-from .gauge import GaugeVector, check_gauge, edge_belief, gauge_function, slot_map
+from .gauge import GaugeVector, edge_belief, gauge_function, slot_map
 from .model import DEFAULT_ENUMERATION_GUARD, Config, EnumerationGuardError, MultiGM
 from .multigraph import EdgeId, MultiGraph, NodeId
 
@@ -79,12 +79,12 @@ def _at_bp_gauge(
     """Colored tables ``Q_a``, ``z(x)`` and every edge's belief ``beta``,
     after checking ``x_bp`` is a BP gauge.
 
-    The check reads the residual the solver stops on, from a layout in its
-    edge order.  ``Q_a[sigma_a]`` is node ``a``'s table reduced at the
-    coloring ``sigma_a`` of its slots, so ``Q_a[0]`` is ``h_a``.
+    :func:`gauge_function` checks the gauge, the gate reads the solver's
+    residual on its layout.  ``Q_a[sigma_a]`` is node ``a``'s table reduced
+    at the coloring ``sigma_a`` of its slots, so ``Q_a[0]`` is ``h_a``.
     """
-    check_gauge(m, x_bp)
-    lay = _Layout.of(m, sorted(m.graph.edges))
+    z_bp = gauge_function(m, x_bp)
+    lay = _Layout.of(m)
     res = _at_gauge(lay, lay.column(x_bp))[0]
     if res > CONVERGENCE_THRESHOLD:
         raise NonConvergenceError(
@@ -97,7 +97,7 @@ def _at_bp_gauge(
         mats = [((1.0, x_bp[d]), (-beta[d.edge], x_bp[d] * (1.0 - beta[d.edge])))
                 for d in f.variables]
         tables[a] = slot_map(f.table, mats).tolist()
-    return tables, gauge_function(m, x_bp), beta
+    return tables, z_bp, beta
 
 
 def _term(

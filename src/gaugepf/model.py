@@ -381,7 +381,7 @@ def contract_model(m: MultiGM, edge: EdgeId) -> MultiGM:
     self-edge's diagonal sum, come out in the merged table's own layout, so
     no transposed copy is made.  The bit-1 part of a normal edge is added
     in place into the bit-0 part, and the merged array becomes the new
-    table without a copy.
+    table without a copy; an overflow raises :class:`ModelError`.
     """
     if edge not in m.graph.endpoints:
         raise GraphError(f"unknown edge {edge!r}")
@@ -389,22 +389,25 @@ def contract_model(m: MultiGM, edge: EdgeId) -> MultiGM:
     tail, head = m.graph.endpoints[edge]
     factors = {a: f for a, f in m.factors.items() if a in g2.incidence}
 
-    if tail == head:
-        node = tail
-        f = m.factors[node]
-        slots = [f.variables.index(DirectedEdge(edge, s)) for s in (True, False)]
-        merged = _at_bit(f, slots, 0) + _at_bit(f, slots, 1)
-        new_vars = tuple(d for d in f.variables if d.edge != edge)
-    else:
-        node, absorbed = (tail, head) if tail <= head else (head, tail)
-        fs, fa = m.factors[node], m.factors[absorbed]
-        slot_s = [next(i for i, d in enumerate(fs.variables) if d.edge == edge)]
-        slot_a = [next(i for i, d in enumerate(fa.variables) if d.edge == edge)]
-        merged = np.multiply.outer(_at_bit(fa, slot_a, 0), _at_bit(fs, slot_s, 0))
-        merged += np.multiply.outer(_at_bit(fa, slot_a, 1), _at_bit(fs, slot_s, 1))
-        new_vars = tuple(d for d in fs.variables if d.edge != edge) + tuple(
-            d for d in fa.variables if d.edge != edge
-        )
+    node, absorbed = min(tail, head), max(tail, head)  # the same on a self-edge
+    f = m.factors[node]
+    new_vars = tuple(d for d in f.variables if d.edge != edge)
+    try:
+        with np.errstate(over="raise"):
+            if tail == head:
+                slots = [f.variables.index(DirectedEdge(edge, s)) for s in (True, False)]
+                merged = _at_bit(f, slots, 0) + _at_bit(f, slots, 1)
+            else:
+                fa = m.factors[absorbed]
+                slot_s = [next(i for i, d in enumerate(f.variables) if d.edge == edge)]
+                slot_a = [next(i for i, d in enumerate(fa.variables) if d.edge == edge)]
+                merged = np.multiply.outer(_at_bit(fa, slot_a, 0), _at_bit(f, slot_s, 0))
+                merged += np.multiply.outer(_at_bit(fa, slot_a, 1), _at_bit(f, slot_s, 1))
+                new_vars += tuple(d for d in fa.variables if d.edge != edge)
+    except FloatingPointError:
+        raise ModelError(
+            f"contracting {edge!r} overflows the merged table at node {node!r}"
+        ) from None
 
     # the merged array is new and held nowhere else, so it becomes the table
     factors[node] = FactorTable._adopt(node, new_vars, merged.reshape(-1))

@@ -117,9 +117,6 @@ class MultiGraph:
         """All directed edges in node-then-incidence order."""
         return tuple(d for a in self.nodes for d in self.incidence[a])
 
-    def degree(self, node: NodeId) -> int:
-        return len(self.incidence[node])
-
     def connected_components(self) -> int:
         """Number of connected components (isolated nodes count)."""
         parent = {a: a for a in self.nodes}

@@ -11,7 +11,6 @@ from gaugepf import (
     ModelError,
     bethe_free_energy,
     bp_contract_sequence,
-    bp_normal_contract,
     bp_residual,
     bp_value,
     build,
@@ -34,7 +33,6 @@ from gaugepf.bp import (
     BPGauge,
     ConfigError,
     DegenerateEdgeError,
-    PolySelfEdgeError,
     SolverConfig,
     _restarts,
     check_polytope,
@@ -819,25 +817,8 @@ def test_permanent_bounds(n, seed):
 
 
 class TestBPNormalContract:
-    def test_equals_exact_operator(self, rng):
-        for _ in range(10):
-            m = random_soft_model(rng, 5, p_self=0.15)
-            h = build(m)
-            for e in m.graph.edges:
-                if m.graph.is_self_edge(e):
-                    continue
-                pa = bp_normal_contract(h, e)
-                pb = exact_contract_poly(h, e)
-                for qa, qb in zip(pa.factors, pb.factors):
-                    assert qa.variables == qb.variables
-                    assert qa.coeffs == qb.coeffs
-
-    def test_self_edge_rejected(self, self_edge_model):
-        with pytest.raises(PolySelfEdgeError, match="not polynomial"):
-            bp_normal_contract(build(self_edge_model), "e")
-
     def test_two_node_constant(self, two_node_model):
-        h = bp_normal_contract(build(two_node_model), "e1")
+        h = exact_contract_poly(build(two_node_model), "e1")
         assert h.evaluate({}) == pytest.approx(11.0)
 
 

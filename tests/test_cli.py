@@ -173,8 +173,8 @@ class TestModelFormat:
              "negative", "huge integer", "document order", "sparse"],
     )
     def test_bad_entry_message(self, two_node_model, table, message):
-        # a table that fails the bulk read is read entry by entry, which
-        # names the first offending entry in document order
+        # a table that fails the bulk read is looked at entry by entry, to
+        # name the first offending entry in document order
         doc = json.loads(serialize_model(two_node_model))
         doc["factors"]["a"]["table"] = table
         with pytest.raises(ModelFileError) as exc:
@@ -191,6 +191,17 @@ class TestModelFormat:
         assert m.factors["a"].table.tolist() == [1.0, float(2**60 + 1)]
         assert m.factors["b"].table.tolist() == [3.0, 0.0]
         assert all(type(v) is float for f in m.factors.values() for v in f.table.tolist())
+
+    def test_empty_sparse_table_reads_as_zeros(self, two_node_model):
+        doc = json.loads(serialize_model(two_node_model))
+        doc["factors"]["a"]["table"] = {}
+        doc["factors"]["a"]["soft"] = False
+        doc["nodes"].append("lone")
+        doc["factors"]["lone"] = {"order": [], "table": {}, "soft": False}
+        m = parse_model(doc)
+        assert m.factors["a"].table.tolist() == [0.0, 0.0]
+        assert m.factors["lone"].table.tolist() == [0.0]
+        assert m.factors["b"].table.tolist() == two_node_model.factors["b"].table.tolist()
 
     def test_isolated_node_empty_bitstring(self):
         # a degree-0 node has a single-entry table keyed by the empty string
@@ -359,6 +370,52 @@ def test_invalid_solver_flag_exit_three(capsys, two_node_file, flags):
     assert code == EXIT_INPUT
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,check,limit",
+    [
+        (["bp", "MODEL", "--tol", "1e-6"], "bp.POLYTOPE_TOL", 1e-9),
+        (["verify", "--random", "2", "--edges", "5", "--seed", "1", "--tol", "1e-6"],
+         "bp.POLYTOPE_TOL", 1e-9),
+        (["loops", "MODEL", "--tol", "1e-3"], "loops.CONVERGENCE_THRESHOLD", 1e-6),
+    ],
+)
+def test_tol_looser_than_later_check_refused(capsys, monkeypatch, tmp_path, argv,
+                                             check, limit):
+    # at these --tol values each solve converges, but its gauge can fail the
+    # check the command runs on it (bp and verify the belief consistency of
+    # bethe_free_energy, loops the loop series' residual gate), so the flag
+    # is refused before the solve; at the check's own tolerance the command
+    # runs to the end
+    path = tmp_path / "m.json"
+    m = random_soft_model(np.random.default_rng(0), 6, n_nodes=3)
+    path.write_text(serialize_model(m))
+    argv = [str(path) if a == "MODEL" else a for a in argv]
+
+    def refused(*args):
+        raise AssertionError("solved before the --tol check")
+
+    monkeypatch.setattr(gaugepf.bp, "solve_bp", refused)
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: gaugepf {argv[0]}: --tol {float(argv[-1]):g} is looser than "
+        f"{check} ({limit:g}), the check on the solved gauge\n"
+    )
+    monkeypatch.undo()
+    code, report, _ = run(capsys, [*argv[:-1], str(limit)])
+    assert code == EXIT_OK
+    if argv[0] == "verify":
+        assert report["all_passed"] is True
+
+
+@pytest.mark.parametrize("argv", [["bp", "m.json"], ["contract", "m.json"],
+                                  ["loops", "m.json"], ["verify"]])
+def test_default_flags_are_solver_defaults(argv):
+    args = gaugepf.cli.build_parser().parse_args(argv)
+    assert gaugepf.cli._solver_config(args) == gaugepf.bp.SolverConfig()
 
 
 @pytest.mark.parametrize(

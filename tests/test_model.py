@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,21 @@ class TestContractModel:
                 [float(current.factors[a].table[0]) for a in current.graph.nodes]
             )
             assert scalar == pytest.approx(z, rel=1e-12)
+
+    @pytest.mark.parametrize("edge,entry", [("e", 1e300), ("s", 1e308)])
+    def test_overflow_named_without_warning(self, edge, entry):
+        # a normal edge overflows the product, a self-edge the diagonal sum
+        m = make_model(
+            ["a", "b"], [("e", "a", "b"), ("s", "a", "a")],
+            {"a": [entry] * 8, "b": [entry] * 2},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ModelError) as exc:
+                contract_model(m, edge)
+        assert str(exc.value) == (
+            f"contracting {edge!r} overflows the merged table at node 'a'"
+        )
 
     def test_unknown_edge(self, two_node_model):
         from gaugepf import GraphError
