@@ -56,14 +56,17 @@ calls that allocate nothing; the bound, the clamp-hit count and the
 weight vectors' gather, once a sweep on ``(2, rows)``-sized blocks, are
 plain numpy expressions.  Memory is ``O(rows * 2**k)`` for a ``k``-slot
 node; the restarts are split into batches that keep it bounded on large
-tables.  The single-gauge entry points are the same code on one column:
-``_at_gauge`` is the one place a single gauge column is evaluated, by a
-residual pass in the column's own weight vectors, so it holds two
-table-sized arrays; :func:`bp_residual`, a warm stage's check and the loop
-series' convergence gate call it on the solver's layout, ``_Layout.of``'s
-default, so they read the residual the solver stopped on.  :func:`saddle_check`
-reads an edge's quadratic from the first step of a one-column sweep plan
-and takes the profile's Hessian in closed form.
+tables.  A large node alone in its slot count keeps its ``FactorTable``
+array in the layout, as a transposed view; only a sweep copies it, into
+the contiguous stack its chains start from.  The single-gauge entry points
+are the same code on one column: ``_at_gauge`` is the one place a single
+gauge column is evaluated, by a residual pass in the column's own weight
+vectors that reads such a table in place, so on a one-node stage it holds
+one table-sized array; :func:`bp_residual`, a warm stage's check and the
+loop series' convergence gate call it on the solver's layout,
+``_Layout.of``'s default, so they read the residual the solver stopped on.
+:func:`saddle_check` reads an edge's quadratic from the first step of a
+one-column sweep plan and takes the profile's Hessian in closed form.
 :func:`bp_contract_sequence` solves its first stage with restarts and each
 later one with a single restart started from the previous stage's gauge,
 falling back to restarts when that one does not converge or its value
@@ -193,8 +196,9 @@ class Beliefs:
 # ``(rows, 2**k)`` arrays per ``k``-slot node, its weight vector and one
 # buffer that the residual pass weighs the table into and folds it in, and
 # a sweep folds the node's chain into (the folds halve, so they fit).  So a
-# batch peaks at about two such arrays per node, beside the layout's one
-# copy of each table, which bounds its memory on large tables.
+# batch peaks at about two such arrays per node, beside the one contiguous
+# copy of each table that its chains start from (``_Layout.stacks``), which
+# bounds its memory on large tables.
 _BATCH_ENTRIES = 1 << 18
 
 # every restart's initial gauge values are drawn log-uniformly from this range
@@ -202,6 +206,13 @@ _INIT_RANGE = (0.25, 4.0)
 
 # wide clamp on every update: keeps extreme near-hard iterates representable
 _CLAMP = (1e-18, 1e18)
+
+# A node alone in its slot count keeps its table in place in the layout
+# from 2**_IN_PLACE_BITS entries (32 KiB) up.  On smaller tables the copy's
+# memory does not matter, and a pass over the transposed view costs more
+# than the copy saves (64 entries: 1.9 us against 0.5 us for the flat
+# product and 0.4 us for the copy); at 2**12 entries the two cost the same.
+_IN_PLACE_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -212,11 +223,16 @@ class _Layout:
     Edge ``i`` of the sweep keeps its positive and negative darts on rows
     ``2i`` and ``2i + 1``, one restart per column.  The nodes with ``k``
     slots share one ``(n_k, 2**k)`` table stack, each table with its
-    first-touched slot on the top bit.
+    first-touched slot on the top bit.  A slot count ``k >=
+    _IN_PLACE_BITS`` held by one node keeps that node's
+    ``FactorTable.table`` in place instead, as a read-only ``(1, 2, ...,
+    2)`` view with its axes in that bit order, top bit first;
+    :attr:`stacks` copies it only for a sweep.
     """
 
     darts: tuple[DirectedEdge, ...]  # the dart on each gauge row
-    tables: dict[int, np.ndarray]  # slot count k -> (n_k, 2**k) tables
+    # slot count k -> (n_k, 2**k) tables, or one node's (1,) + (2,) * k view
+    tables: dict[int, np.ndarray]
     slots: dict[int, np.ndarray]  # k -> (n_k, k) gauge row of each table bit
     place: dict[NodeId, tuple[int, int]]  # node -> (k, its row in the stack)
     # per edge: tail, head, and whether each one's chain is read again later
@@ -240,21 +256,33 @@ class _Layout:
             groups.setdefault(len(m.factors[a].variables), []).append(a)
         tables, slots, place = {}, {}, {}
         for k, nodes in groups.items():
-            tables[k] = np.empty((len(nodes), 1 << k))
+            alone = k >= _IN_PLACE_BITS and len(nodes) == 1
+            if not alone:
+                tables[k] = np.empty((len(nodes), 1 << k))
             slots[k] = np.empty((len(nodes), k), dtype=np.intp)
             for i, a in enumerate(nodes):
                 f = m.factors[a]
                 rows = [col[d] for d in f.variables]
                 # bit j of the new table is slot bits[j]: the last touched at bit 0
                 bits = sorted(range(k), key=rows.__getitem__, reverse=True)
-                table = tables[k][i].reshape((2,) * k, order="F")
-                table[...] = f.as_array().transpose(bits)
+                if alone:  # read in place: C order puts bit j on axis k - 1 - j
+                    tables[k] = f.as_array().transpose(bits[::-1])[None]
+                else:
+                    table = tables[k][i].reshape((2,) * k, order="F")
+                    table[...] = f.as_array().transpose(bits)
                 slots[k][i] = [rows[j] for j in bits]
                 place[a] = (k, i)
         ends = [m.graph.endpoints[e] for e in edges]
         last = {a: i for i, pair in enumerate(ends) for a in pair}
         steps = tuple((t, h, i < last[t], i < last[h]) for i, (t, h) in enumerate(ends))
         return cls(darts=darts, tables=tables, slots=slots, place=place, steps=steps)
+
+    @cached_property
+    def stacks(self) -> dict[int, np.ndarray]:
+        """Per slot count the tables as a contiguous ``(n_k, 2**k)`` stack,
+        made on first use: the sweep's chains start as it.  Only a one-node
+        count's view is copied."""
+        return {k: t.reshape(len(t), -1) for k, t in self.tables.items()}
 
     def column(self, x: GaugeVector) -> np.ndarray:
         """Gauge ``x`` as a one-column array, one row per dart."""
@@ -282,6 +310,7 @@ class _Layout:
 def _residual_parts(
     lay: _Layout, x: np.ndarray, mono: Mapping[int, np.ndarray],
     weighted: Mapping[int, np.ndarray] | None = None,
+    tables: Mapping[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per restart the residual, the larger of the gradient norm and the
     coloring residual (NaN read as inf); per slot, the gradient of ``log z``
@@ -293,18 +322,26 @@ def _residual_parts(
     itself, when the caller no longer needs the weight vectors.  The pass
     weighs the tables into it, or into a fresh product, and folds them there
     (:func:`gauge.slot_sums` with ``overwrite``), so it allocates nothing
-    table-sized beyond that product.  One pass per slot count covers every
-    slot of every node and row: with the slot's own weight included, the
-    bit-1 sum over the node total is the slot's tilted mean ``x_d *
-    dh/dx_d / h``.  Each node's total comes once, from its top slot
-    (``(nodes, rows)``, in slot-count order); a 0-slot node's is its
-    constant.
+    table-sized beyond that product.  The tables are ``lay.tables`` unless
+    ``tables`` (:attr:`_Layout.stacks`) is given; a one-node count's view is
+    weighed through its ``(2,) * k`` shape, the same elementwise products.
+    One pass per slot count covers every slot of every node and row: with
+    the slot's own weight included, the bit-1 sum over the node total is the
+    slot's tilted mean ``x_d * dh/dx_d / h``.  Each node's total comes once,
+    from its top slot (``(nodes, rows)``, in slot-count order); a 0-slot
+    node's is its constant.
     """
+    tables = lay.tables if tables is None else tables
     mean = np.empty_like(x)
     totals = []
     for k, rows in lay.slots.items():
-        w = np.multiply(mono[k], lay.tables[k][:, None],
-                        out=None if weighted is None else weighted[k])
+        t, v = tables[k][:, None], mono[k]
+        w = None if weighted is None else weighted[k]
+        if t.ndim > 3:  # a one-node view
+            shape = (1, x.shape[1], *t.shape[2:])
+            v = v.reshape(shape)
+            w = np.empty(shape) if w is None else w.reshape(shape)
+        w = np.multiply(v, t, out=w)
         if not k:
             totals.append(w[:, :, 0])
             continue
@@ -344,8 +381,9 @@ def _at_gauge(lay: _Layout, col: np.ndarray) -> tuple[float, np.ndarray, np.ndar
     """Gauge column ``col``'s residual, ``log z``'s gradient column and
     every node's total ``h_a``.
 
-    One residual pass, folded in the column's own weight vectors; that
-    buffer is freed on return.
+    One residual pass on ``lay.tables``, a one-node count's table read in
+    place, folded in the column's own weight vectors; that buffer is freed
+    on return, and nothing else table-sized is made.
     """
     mono = lay.weight_vectors(col)
     res, grad, _, totals = _residual_parts(lay, col, mono, mono)
@@ -478,7 +516,7 @@ class _Plan:
         lay, x, sums = self.lay, self.x, self.sums
         rows = x.shape[1]
         # per node: its chain, which starts as its table, and its weight vector
-        chain = {a: lay.tables[k][i] for a, (k, i) in lay.place.items()}
+        chain = {a: lay.stacks[k][i] for a, (k, i) in lay.place.items()}
         mono = {a: self.mono[k][i] for a, (k, i) in lay.place.items()}
         # a sweep's folds reuse the weighted-table buffer, free until the
         # residual pass: each fold halves the chain, so all of them fit
@@ -623,7 +661,7 @@ def _lockstep(lay: _Layout, x: np.ndarray, cfg: SolverConfig) -> list[BPGauge]:
         plan.weigh()
         if sweep < cfg.max_sweeps and _unconverged(plan, cfg.tolerance):
             continue
-        r, _, _, totals = _residual_parts(lay, x, plan.mono, plan.weighted)
+        r, _, _, totals = _residual_parts(lay, x, plan.mono, plan.weighted, lay.stacks)
         stop = (r <= cfg.tolerance) | (sweep == cfg.max_sweeps)
         if stop.any():
             done, keep = active[stop], ~stop
@@ -973,8 +1011,7 @@ def bp_contract_sequence(
     the final stage's value is that model's exact ``Z``: ``Z`` of ``m``
     itself when ``m`` is soft.
     """
-    if sorted(order) != sorted(m.graph.edges):
-        raise GraphError("order must list every edge exactly once")
+    m.graph.check_order(order)
     stages = []
     current = soft_model(m)
     softened = current is not m

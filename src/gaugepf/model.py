@@ -28,6 +28,7 @@ layout without a transposed copy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -370,6 +371,11 @@ def _at_bit(f: FactorTable, slots: Sequence[int], bit: int) -> np.ndarray:
     return f.table.reshape((2,) * k)[(*index, Ellipsis)]
 
 
+# contract_model adds a normal edge's bit-1 part in slices of at least
+# 2**_SLICE_BITS entries (32 KiB): smaller merged tables take one slice
+_SLICE_BITS = 12
+
+
 def contract_model(m: MultiGM, edge: EdgeId) -> MultiGM:
     """Sum the edge variable out of the model; the partition function is kept.
 
@@ -380,8 +386,12 @@ def contract_model(m: MultiGM, edge: EdgeId) -> MultiGM:
     outer product of the absorbed node's part with the survivor's, and the
     self-edge's diagonal sum, come out in the merged table's own layout, so
     no transposed copy is made.  The bit-1 part of a normal edge is added
-    in place into the bit-0 part, and the merged array becomes the new
-    table without a copy; an overflow raises :class:`ModelError`.
+    in place into the bit-0 part, slice by slice over the smaller operand,
+    so the only scratch is one slice the size of the larger operand (at
+    least ``2**_SLICE_BITS`` entries); each entry is still ``a0 b0 + a1 b1``
+    rounded as one outer product and one sum would round it.  The merged
+    array becomes the new table without a copy; an overflow raises
+    :class:`ModelError`.
     """
     if edge not in m.graph.endpoints:
         raise GraphError(f"unknown edge {edge!r}")
@@ -401,8 +411,15 @@ def contract_model(m: MultiGM, edge: EdgeId) -> MultiGM:
                 fa = m.factors[absorbed]
                 slot_s = [next(i for i, d in enumerate(f.variables) if d.edge == edge)]
                 slot_a = [next(i for i, d in enumerate(fa.variables) if d.edge == edge)]
-                merged = np.multiply.outer(_at_bit(fa, slot_a, 0), _at_bit(f, slot_s, 0))
-                merged += np.multiply.outer(_at_bit(fa, slot_a, 1), _at_bit(f, slot_s, 1))
+                a0, a1 = _at_bit(fa, slot_a, 0), _at_bit(fa, slot_a, 1)
+                s0, s1 = _at_bit(f, slot_s, 0), _at_bit(f, slot_s, 1)
+                # out= keeps a 0-slot result an array, not a numpy scalar
+                merged = np.multiply.outer(a0, s0, out=np.empty(a0.shape + s0.shape))
+                # the bit-1 part in slices over merged's leading axes (the
+                # absorbed node's), at most one per smaller operand's entry
+                lead = merged.ndim - max(a1.ndim, s1.ndim, _SLICE_BITS)
+                for i in itertools.product((0, 1), repeat=max(lead, 0)):
+                    merged[i] += np.multiply.outer(a1[i], s1)
                 new_vars += tuple(d for d in fa.variables if d.edge != edge)
     except FloatingPointError:
         raise ModelError(

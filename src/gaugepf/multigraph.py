@@ -10,6 +10,7 @@ variables by it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -135,6 +136,26 @@ class MultiGraph:
     def cycle_rank(self) -> int:
         """Self-edge count of the fully contracted graph: |E| - |V| + #components."""
         return len(self.edges) - len(self.nodes) + self.connected_components()
+
+    def check_order(self, order: Sequence[EdgeId]) -> None:
+        """Raise :class:`GraphError` unless ``order`` lists every edge once.
+
+        The message names the edges the order misses, those it repeats and
+        those the graph does not have.
+        """
+        seen = Counter(order)
+        faults = {
+            "missing": [e for e in self.edges if e not in seen],
+            "repeated": [e for e, n in seen.items() if n > 1],
+            "unknown": [e for e in seen if e not in self.endpoints],
+        }
+        detail = "; ".join(
+            f"{what} {', '.join(map(repr, edges))}"
+            for what, edges in faults.items()
+            if edges
+        )
+        if detail:
+            raise GraphError(f"order must list every edge exactly once: {detail}")
 
     def _endpoints_of(self, edge: EdgeId) -> tuple[NodeId, NodeId]:
         try:

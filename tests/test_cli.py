@@ -11,6 +11,7 @@ import gaugepf.cli
 import gaugepf.gauge
 import gaugepf.loops
 import gaugepf.model
+import gaugepf.multigraph
 from gaugepf.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
@@ -529,6 +530,38 @@ class TestCmdContract:
         code, _, _ = run(capsys, ["contract", two_node_file, "--order", "zz"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("mode", ["exact", "bp-sequence"])
+    def test_invalid_order_names_its_edges(
+        self, capsys, tmp_path, triangle_model, mode
+    ):
+        path = tmp_path / "tri.json"
+        path.write_text(serialize_model(triangle_model))
+        code = main(["contract", str(path), "--mode", mode, "--order", "e1,e1,zz"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "missing 'e2', 'e3'; repeated 'e1'; unknown 'zz'" in err
+
+    def test_order_checked_once(self, capsys, tmp_path, triangle_model, monkeypatch):
+        """``contract --order`` leaves the check to the library: one call in
+        each mode."""
+        path = tmp_path / "tri.json"
+        path.write_text(serialize_model(triangle_model))
+        real = gaugepf.multigraph.MultiGraph.check_order
+        calls = []
+
+        def counting(self, order):
+            calls.append(list(order))
+            return real(self, order)
+
+        monkeypatch.setattr(gaugepf.multigraph.MultiGraph, "check_order", counting)
+        for mode in ("exact", "bp-sequence"):
+            calls.clear()
+            code, _, _ = run(
+                capsys, ["contract", str(path), "--mode", mode, "--order", "e2,e1,e3"]
+            )
+            assert code == EXIT_OK
+            assert calls == [["e2", "e1", "e3"]]
+
     def test_bp_sequence_reports_start_and_sweeps(self, capsys, tmp_path):
         path = tmp_path / "k23.json"
         path.write_text(serialize_model(matching_model(2, 3)))
@@ -775,6 +808,45 @@ class TestCmdVerify:
         assert len(checks.pop("orthogonality")["details"]) == 1
         assert all(len(c["details"]) == 2 for c in checks.values())
         assert f"[FAIL] loop_sum: {first}; {second}" in captured.err
+
+    @staticmethod
+    def _failed_checks(capsys):
+        """Run a two-model ``verify``; return its exit code and the names of
+        the checks that failed."""
+        code = main(
+            ["verify", "--random", "2", "--edges", "5", "--seed", "7", "--restarts", "4"]
+        )
+        report = json.loads(capsys.readouterr().out)
+        return code, {c["name"] for c in report["checks"] if not c["passed"]}
+
+    def test_gauge_invariance_fails_on_a_wrong_entry(self, capsys, monkeypatch):
+        """A gauge-transformed model with one entry off by 1e-6 fails
+        gauge_invariance and no other check."""
+        real = gaugepf.gauge.transform_factors
+
+        def off_by_one_entry(m, x):
+            t = real(m, x)
+            a = t.graph.nodes[0]
+            f = t.factors[a]
+            table = f.table.copy()
+            table[0] += 1e-6
+            factors = dict(t.factors)
+            factors[a] = gaugepf.model.FactorTable.from_values(
+                a, f.variables, table, allow_negative=True
+            )
+            return gaugepf.model.MultiGM(t.graph, factors)
+
+        monkeypatch.setattr(gaugepf.gauge, "transform_factors", off_by_one_entry)
+        assert self._failed_checks(capsys) == (EXIT_INVARIANT, {"gauge_invariance"})
+
+    def test_value_identity_fails_on_a_wrong_free_energy(self, capsys, monkeypatch):
+        """A Bethe free energy off by 1e-6 fails value_identity and no other
+        check."""
+        real = gaugepf.bp.bethe_free_energy
+        monkeypatch.setattr(
+            gaugepf.bp, "bethe_free_energy", lambda m, bel: real(m, bel) + 1e-6
+        )
+        assert self._failed_checks(capsys) == (EXIT_INVARIANT, {"value_identity"})
 
     def test_tree_corpus_exactness(self, capsys, tmp_path, rng):
         from gaugepf.families import random_tree_model

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,6 +107,30 @@ class TestContraction:
     def test_unknown_edge(self):
         with pytest.raises(GraphError):
             path_graph().contract_edge("nope")
+
+
+class TestCheckOrder:
+    @staticmethod
+    def graph():
+        return MultiGraph.build(
+            ["a", "b"], [("e1", "a", "b"), ("e2", "b", "a"), ("e3", "a", "a")]
+        )
+
+    def test_accepts_every_permutation(self):
+        g = self.graph()
+        for order in itertools.permutations(g.edges):
+            g.check_order(order)
+
+    def test_names_missing_repeated_and_unknown_edges(self):
+        g = self.graph()
+        with pytest.raises(GraphError) as err:
+            g.check_order(["e1", "zz", "e3", "e1"])
+        assert str(err.value) == (
+            "order must list every edge exactly once: "
+            "missing 'e2'; repeated 'e1'; unknown 'zz'"
+        )
+        with pytest.raises(GraphError, match=r"missing 'e1', 'e2', 'e3'$"):
+            g.check_order([])
 
 
 class TestNormalFirstOrder:

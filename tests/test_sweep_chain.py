@@ -325,9 +325,10 @@ def test_plan_memory_bound():
     """A batch keeps two ``(rows, 2**k)`` arrays per ``k``-slot node (see
     ``_BATCH_ENTRIES``): the weight vectors, and the buffer that the
     residual pass weighs the table into and folds it in, and a sweep folds
-    the chain into.  The layout's copy of the table adds a quarter of one.
-    The 16-slot stage of the softened K_{4,4} normal-first sequence runs its
-    16 restarts in batches of 4."""
+    the chain into.  The contiguous copy of the table that the chains start
+    from (``_Layout.stacks``; the layout itself reads the one-node table in
+    place) adds a quarter of one.  The 16-slot stage of the softened
+    K_{4,4} normal-first sequence runs its 16 restarts in batches of 4."""
     cfg = SolverConfig(restarts=16, max_sweeps=3)
     stage = k44_stage(16)
     k = max(len(f.variables) for f in stage.factors.values())
@@ -345,8 +346,8 @@ def test_plan_memory_bound():
 
 def test_checked_stage_memory_bound():
     """A checked warm start and ``bp_residual`` weigh the table into the
-    weight vector and fold it there: they peak at two table-sized arrays,
-    the weight vector and the layout's copy of the table.  The 18-slot
+    weight vector and fold it there, reading the one-node table in place:
+    they peak at one table-sized array, the weight vector.  The 18-slot
     stage of the softened K_{4,4} normal-first sequence follows its last
     normal-edge contraction, so the previous stage's gauge passes the check."""
     cfg = SolverConfig(restarts=2)
@@ -365,7 +366,57 @@ def test_checked_stage_memory_bound():
 
     table = 2**18 * 8
     _, residual_peak = peak(lambda: bp_mod.bp_residual(stage, kept.gauge.x))
-    assert residual_peak <= 2.1 * table
+    assert residual_peak <= 1.1 * table
     g, check_peak = peak(lambda: bp_mod._warm_solve(stage, kept.gauge.x, cfg, True))
     assert g.sweeps == 0
-    assert check_peak <= 2.1 * table
+    assert check_peak <= 1.1 * table
+
+
+def test_k44_sequence_memory_bound():
+    """The whole softened K_{4,4} normal-first sequence peaks at its checked
+    18-slot stage: that stage's table, the check's weight vector and the
+    tables of the stages before it, under 2.5 tables of ``2**18`` entries."""
+    m = k44_model()
+    order = m.graph.normal_first_order()
+    tracemalloc.start()
+    try:
+        bp_contract_sequence(m, order, SolverConfig(restarts=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**18 * 8
+
+
+def test_one_node_table_read_in_place(monkeypatch):
+    """A slot count ``k >= _IN_PLACE_BITS`` held by one node, the hub's 13,
+    keeps that node's ``FactorTable.table`` in the layout as a view, with no
+    copy; smaller counts, one-node or not, are stacked as before.  The sweep
+    plan's chains and the lockstep's residual passes read
+    ``_Layout.stacks``, a contiguous copy of the view, and every table
+    holds the same entries in both."""
+    m = MODELS["hub"]()
+    lay = bp_mod._Layout.of(m)
+    assert {k: len(t) for k, t in lay.tables.items()} == {13: 1, 1: 3, 2: 1}
+    for a, (k, i) in lay.place.items():
+        view = lay.tables[k]
+        assert np.shares_memory(view, m.factors[a].table) == (k == 13)
+        assert view.shape == ((1,) + (2,) * k if k == 13 else (len(view), 1 << k))
+        stack = lay.stacks[k]
+        assert stack.flags.c_contiguous and stack.shape == (len(view), 1 << k)
+        assert not np.shares_memory(stack, m.factors[a].table)
+        np.testing.assert_array_equal(view.reshape(stack.shape), stack)
+    assert bp_mod._IN_PLACE_BITS <= 13
+
+    x = _x0(m, 2, seed=0)
+    plan = bp_mod._Plan(lay, x)
+    for t, _, _ in plan.steps[0][0]:  # the first edge's chains are whole tables
+        assert any(np.shares_memory(t, s) for s in lay.stacks.values())
+    passes, real_pass = [], bp_mod._residual_parts
+
+    def spy(*args):
+        passes.append(args[4])
+        return real_pass(*args)
+
+    monkeypatch.setattr(bp_mod, "_residual_parts", spy)
+    bp_mod._lockstep(lay, x, SolverConfig(max_sweeps=3))
+    assert passes and all(tables is lay.stacks for tables in passes)
