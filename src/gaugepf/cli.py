@@ -440,7 +440,8 @@ def cmd_contract(m: MultiGM, args: argparse.Namespace) -> tuple[dict, int]:
         for i, e in enumerate(order, start=1):
             current = contract_model(current, e)
             z = partition_exact(current, guard=args.guard)
-            constant = constant and abs(z - z0) <= 1e-12 * max(abs(z0), 1.0)
+            # relative at every scale; Z = 0 must stay exactly 0
+            constant = constant and abs(z - z0) <= 1e-12 * abs(z0)
             steps.append({"step": i, "eliminated": e, "Z": z})
         results = {"mode": "exact", "order": order, "steps": steps, "z_constant": constant}
         code = EXIT_OK if constant else EXIT_INVARIANT

@@ -14,12 +14,16 @@ from edge bits 16 and up, one number per block, and a part from the low 16
 edge bits that is the same in every block.  A block's weights are viewed as
 a grid with one length-2 axis per edge bit 8-15 (highest first) and a last
 axis for edge bits 0-7.  The plan keeps each node's low part on that grid,
-with length 1 on every axis the node does not read; per block, the node's
-table, shifted by its offset, is gathered through its grid.  The node-order
-product of the gathered values is carried on the running shape, the
-broadcast of the grids seen so far, so the first nodes' products run over
-only the edge bits they read, and only the products after the shape
-reaches the full block run over all ``2**16`` configurations.
+with length 1 on every axis the node does not read, and its offset for
+every block; per block, the node's table, shifted by its offset, is
+gathered through its grid.  The gathered values are multiplied in the
+plan's product order, carried on the running shape, the broadcast of the
+grids seen so far, so a product runs over only the edge bits read so far.
+The product order takes first the node whose grid grows the running shape
+least, so that few products run over all ``2**16`` configurations of a
+block; node order is kept when that order would not take fewer elementwise
+products.  Either way a configuration's weight is the product of its
+nodes' values, and the order of the multiplications is fixed per model.
 
 ``contract_model`` reads tables as C-order views, whose axes hold the
 variables last first; its merged tables come out in the ``FactorTable``
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -182,80 +187,126 @@ def _check_guard(m: MultiGM, guard: int) -> None:
 class _BlockPlan:
     """Per-model set-up of the brute-force enumeration.
 
-    ``nodes`` holds, per node in node order, its table, its grid of table
-    index parts from edge bits 0-15, the ``(edge bit, slot)`` pairs of edge
-    bits 16 and up, and where its running product goes.  A grid has one
+    ``nodes`` holds, per node in product order, its table, its grid of
+    table index parts from edge bits 0-15, its table offset in each block
+    (from edge bits 16 and up), and where its running product goes.
+    ``order`` gives each entry's position in node order.  A grid has one
     axis per edge bit 8-15 of the model, highest bit first, and a last axis
     for edge bits 0-7; it has length 1 on the axes of bits the node does
     not read.  A node's running shape is the broadcast of its grid's shape
-    with those of the nodes before it, and its output is ``None`` while
-    that shape stays the previous node's, else a buffer view of the new
-    shape.  The views alternate, from the last backwards, between a
-    full-block buffer and a second buffer, so a product never writes the
-    buffer it reads; the second holds only shapes short of the full block,
-    so at most half a block.  ``size`` is the block's configuration count.
+    with those of the nodes before it in product order, and its output is
+    ``None`` while that shape stays the previous node's, else a buffer view
+    of the new shape.  The views alternate, from the last backwards,
+    between a full-block buffer and a second buffer, so a product never
+    writes the buffer it reads; the second holds only shapes short of the
+    full block, so at most half a block.  ``size`` is the block's
+    configuration count.
     """
 
-    nodes: list[
-        tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...], np.ndarray | None]
-    ]
+    nodes: list[tuple[np.ndarray, np.ndarray, list[int], np.ndarray | None]]
+    order: tuple[int, ...]
     size: int
+
+
+def _product_order(masks: Sequence[int]) -> list[int]:
+    """Positions of the nodes in the order a block multiplies their values.
+
+    ``masks[k]`` marks the low edge bits node ``k``'s grid reads, with all
+    of bits 0-7 marked when it reads any of them (they share the grid's
+    last axis), so a running shape has ``2**bit_count`` entries of the
+    union of the masks seen.  The greedy order repeatedly takes the node
+    whose grid grows the running shape least, ties going to the earlier
+    node; it is used only when its running sizes add up to fewer
+    elementwise products than node order's.
+    """
+
+    def cost(order: Sequence[int]) -> int:
+        total = running = 0
+        for k in order:
+            running |= masks[k]
+            total += 1 << running.bit_count()
+        return total
+
+    left = list(range(len(masks)))
+    greedy: list[int] = []
+    running = 0
+    while left:
+        k = min(left, key=lambda k: (running | masks[k]).bit_count())
+        left.remove(k)
+        greedy.append(k)
+        running |= masks[k]
+    plain = list(range(len(masks)))
+    return greedy if cost(greedy) < cost(plain) else plain
 
 
 def _block_plan(m: MultiGM) -> _BlockPlan:
     pos = {e: j for j, e in enumerate(m.graph.edges)}
     low_bits = min(len(m.graph.edges), _BLOCK_BITS)
-    shape = (2,) * max(low_bits - 8, 0) + (1 << min(low_bits, 8),)
+    byte_bits = min(low_bits, 8)
+    shape = (2,) * (low_bits - byte_bits) + (1 << byte_bits,)
     # bits[p]: edge bit p of the block's configurations, broadcastable to shape
     byte0 = np.arange(shape[-1], dtype=np.intp)
-    bits = [(byte0 >> p) & 1 for p in range(min(low_bits, 8))]
+    bits = [(byte0 >> p) & 1 for p in range(byte_bits)]
     for p in range(8, low_bits):
         axes = [1] * len(shape)
         axes[low_bits - 1 - p] = 2
         bits.append(np.arange(2, dtype=np.intp).reshape(axes))
-    nodes, running = [], []
+    # bit p - low_bits of a block's number is edge bit p of its configurations
+    blocks = np.arange(1 << (len(m.graph.edges) - low_bits), dtype=np.intp)
+    nodes, masks = [], []
     for a in m.graph.nodes:
         f = m.factors[a]
         grid = np.zeros((1,) * len(shape), dtype=np.intp)
-        high = []
+        offsets = np.zeros_like(blocks)
+        mask = 0
         for i, d in enumerate(f.variables):
             p = pos[d.edge]
             if p < low_bits:
                 grid = grid | (bits[p] << i)
+                # edge bits 0-7 share the grid's last axis
+                mask |= (1 << p) if p >= 8 else (1 << byte_bits) - 1
             else:
-                high.append((p, i))
-        nodes.append((f.table, grid, tuple(high)))
-        running.append(np.broadcast_shapes(running[-1] if running else (), grid.shape))
-    grows = [k for k in range(1, len(nodes)) if running[k] != running[k - 1]]
-    outs = [None] * len(nodes)
+                offsets |= ((blocks >> (p - low_bits)) & 1) << i
+        nodes.append((f.table, grid, offsets.tolist()))
+        masks.append(mask)
+    order = _product_order(masks)
+    running = list(itertools.accumulate((masks[k] for k in order), operator.or_))
+    grows = [j for j in range(1, len(order)) if running[j] != running[j - 1]]
+    outs = [None] * len(order)
     # the last growth reaches the full block; the one before it, and every
     # other one going back, goes to the second buffer
-    for ks in (grows[::-2], grows[-2::-2]):
-        if ks:
-            buffer = np.empty(max(math.prod(running[k]) for k in ks))
-            for k in ks:
-                outs[k] = buffer[: math.prod(running[k])].reshape(running[k])
-    return _BlockPlan([(*node, out) for node, out in zip(nodes, outs)], 1 << low_bits)
+    for js in (grows[::-2], grows[-2::-2]):
+        if js:
+            buffer = np.empty(1 << max(running[j].bit_count() for j in js))
+            for j in js:
+                r = running[j]  # shape: edge bits 8 and up, highest first, then byte 0
+                run_shape = tuple(1 << (r >> p & 1) for p in range(low_bits - 1, 7, -1))
+                run_shape += (1 << (r & 0xFF).bit_count(),)
+                outs[j] = buffer[: 1 << r.bit_count()].reshape(run_shape)
+    return _BlockPlan(
+        [(*nodes[k], out) for k, out in zip(order, outs)], tuple(order), 1 << low_bits
+    )
 
 
 def _block_weights(plan: _BlockPlan, lo: int) -> np.ndarray:
     """Weights of configurations ``lo, lo + 1, ...`` over one block.
 
-    Each node's table, shifted by the offset of ``lo``'s high edge bits, is
-    gathered through the node's grid.  The running product starts as the
-    first node's gathered values and takes each later node's in node order,
-    on the node's running shape: in place while that shape stays the same,
-    into the node's plan buffer when it grows.  Only the products after it
-    reaches the full block run over every configuration, and each entry
-    gets the same multiplications in the same order as on the full block.
-    Returns a flat array, a view of a plan buffer (overwritten by the next
-    call) unless the first node reads every low edge bit.
+    Each node's table, shifted by its offset in ``lo``'s block, is gathered
+    through the node's grid.  The running product starts as the first
+    node's gathered values and takes each later node's in the plan's
+    product order, on the node's running shape: in place while that shape
+    stays the same, into the node's plan buffer when it grows.  Only the
+    products after it reaches the full block run over every configuration,
+    and each entry gets the same multiplications in the same order as on
+    the full block.  Returns a flat array, a view of a plan buffer
+    (overwritten by the next call) unless the first node reads every low
+    edge bit.
     """
+    block = lo // plan.size
     w = None
-    for table, grid, high, out in plan.nodes:
-        offset = sum(((lo >> p) & 1) << i for p, i in high)
+    for table, grid, offsets, out in plan.nodes:
         # each gather is a temporary that dies with its product
-        values = table[offset:]
+        values = table[offsets[block]:]
         if w is None:
             w = values[grid]
         elif out is None:
@@ -289,10 +340,12 @@ def partition_exact(m: MultiGM, guard: int = DEFAULT_ENUMERATION_GUARD) -> float
     Bit j of a configuration's index is the bit of edge j.  The sum runs
     over blocks of ``2**16`` consecutive indices in ascending order, on the
     block plan of the module docstring: a block's weights are the products
-    of its nodes' gathered table values, taken in node order starting from
-    the first node's value (on the running shape, which changes where a
-    product is computed but not its operands or their order); numpy sums
-    each block, and the block sums are added one after another.  Results
+    of its nodes' gathered table values, taken in the plan's product order
+    (node order unless a smallest-growth order costs fewer products)
+    starting from the first node's value (on the running shape, which
+    changes where a product is computed but not its operands or their
+    order); numpy sums each block, and the block sums are added one after
+    another.  Every configuration is still enumerated and weighed.  Results
     are reproducible bit-for-bit.
     """
     return _scan(m, guard)[0]

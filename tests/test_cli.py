@@ -506,6 +506,37 @@ class TestCmdContract:
         assert report["results"]["z_constant"] is True
         assert all(s["Z"] == 5.0 for s in report["results"]["steps"])
 
+    def test_exact_mode_fails_below_one(self, capsys, tmp_path, monkeypatch):
+        """With Z near 5e-16, a contraction that doubles one table at each
+        step moves Z by far more than 1e-12 of itself: z_constant is false
+        and the command exits 1, though every step's change is far below an
+        absolute 1e-12."""
+        m = random_soft_model(np.random.default_rng(0), 6, n_nodes=3)
+        factors = {
+            a: gaugepf.model.FactorTable.from_values(a, f.variables, f.table * 1e-6)
+            for a, f in m.factors.items()
+        }
+        m = gaugepf.model.MultiGM(m.graph, factors)
+        path = tmp_path / "small.json"
+        path.write_text(serialize_model(m))
+        real = gaugepf.cli.contract_model
+
+        def doubling(model, edge):
+            out = real(model, edge)
+            a = out.graph.nodes[0]
+            f = out.factors[a]
+            factors = dict(out.factors)
+            factors[a] = gaugepf.model.FactorTable.from_values(a, f.variables, 2 * f.table)
+            return gaugepf.model.MultiGM(out.graph, factors)
+
+        monkeypatch.setattr(gaugepf.cli, "contract_model", doubling)
+        code, report, _ = run(capsys, ["contract", str(path)])
+        steps = report["results"]["steps"]
+        assert steps[0]["Z"] < 1e-12
+        assert all(abs(s["Z"] - steps[0]["Z"]) < 1e-12 for s in steps)
+        assert report["results"]["z_constant"] is False
+        assert code == EXIT_INVARIANT
+
     def test_bp_sequence_decrease_informative(self, capsys, self_edge_file):
         code, report, _ = run(
             capsys,
@@ -847,6 +878,49 @@ class TestCmdVerify:
             gaugepf.bp, "bethe_free_energy", lambda m, bel: real(m, bel) + 1e-6
         )
         assert self._failed_checks(capsys) == (EXIT_INVARIANT, {"value_identity"})
+
+    def test_no_loose_coloring_fails_on_a_loose_coloring(self, capsys, monkeypatch):
+        """Single-slot colorings whose Q is 1e-6 of the node's h fail
+        no_loose_coloring and no other check."""
+        real = gaugepf.gauge.q_node
+
+        def loose(m, x, a, colored):
+            return real(m, x, a, colored) + 1e-6 * gaugepf.gauge.h_node(m, a, x)
+
+        monkeypatch.setattr(gaugepf.gauge, "q_node", loose)
+        assert self._failed_checks(capsys) == (EXIT_INVARIANT, {"no_loose_coloring"})
+
+    def test_saddle_fails_on_a_flipped_determinant(self, capsys, monkeypatch):
+        """A Hessian determinant with its sign flipped fails saddle and no
+        other check."""
+        real = gaugepf.bp.saddle_check
+
+        def flipped(m, x, edge):
+            rep = real(m, x, edge)
+            return dataclasses.replace(rep, determinant=-rep.determinant)
+
+        monkeypatch.setattr(gaugepf.bp, "saddle_check", flipped)
+        assert self._failed_checks(capsys) == (EXIT_INVARIANT, {"saddle"})
+
+    def test_contract_commutes_fails_on_a_wrong_entry(self, capsys, monkeypatch):
+        """Contracted models with one entry off by 1e-11 relative fail
+        contract_commutes (coefficients within 1e-12) and no other check:
+        the gauge functions of the contraction chain, checked within 1e-10,
+        move by at most the sum of those errors."""
+        real = gaugepf.cli.contract_model
+
+        def off_by_one_entry(m, edge):
+            out = real(m, edge)
+            a = out.graph.nodes[0]
+            f = out.factors[a]
+            table = f.table.copy()
+            table[0] *= 1.0 + 1e-11
+            factors = dict(out.factors)
+            factors[a] = gaugepf.model.FactorTable.from_values(a, f.variables, table)
+            return gaugepf.model.MultiGM(out.graph, factors)
+
+        monkeypatch.setattr(gaugepf.cli, "contract_model", off_by_one_entry)
+        assert self._failed_checks(capsys) == (EXIT_INVARIANT, {"contract_commutes"})
 
     def test_tree_corpus_exactness(self, capsys, tmp_path, rng):
         from gaugepf.families import random_tree_model

@@ -3,8 +3,10 @@
 The reference below is the enumeration as it was before the block plan:
 every block rebuilds each node's table index from the edge bits of the
 global configuration indices, and ``Z`` and the MAP configuration come from
-two separate passes.  The gathered values and the order of the products and
-sums are the same on both sides, so results must agree bit for bit.
+two separate passes.  It multiplies the nodes' values in the product order
+it derives from the edge positions (the block plan's rule, written out
+again), so the gathered values and the order of the products and sums are
+the same on both sides, and results must agree bit for bit.
 """
 
 import json
@@ -34,11 +36,56 @@ from conftest import make_model
 # -- reference: rebuild every node index in every block ----------------------
 
 
-def _ref_block_weights(m, idx):
+def _grid_axes(m):
+    """Per node, the axes of a block's grid its table reads: ``"byte"`` for
+    edge bits 0-7 (one axis of ``2**min(|E|, 8)`` entries) and the edge bit
+    for each of bits 8-15.  Edge bits 16 and up are one value per block."""
     pos = {e: j for j, e in enumerate(m.graph.edges)}
+    return [
+        {"byte" if pos[d.edge] < 8 else pos[d.edge]
+         for d in m.graph.incidence[a] if pos[d.edge] < 16}
+        for a in m.graph.nodes
+    ]
+
+
+def _size(m, axes):
+    """Entries of a grid with the given axes."""
+    byte = 2 ** min(len(m.graph.edges), 8)
+    return math.prod(byte if x == "byte" else 2 for x in axes)
+
+
+def _products(m, order):
+    """Elementwise products of multiplying in ``order``: the sum of the
+    running shapes' sizes."""
+    axes = _grid_axes(m)
+    seen, total = set(), 0
+    for k in order:
+        seen |= axes[k]
+        total += _size(m, seen)
+    return total
+
+
+def _product_order(m):
+    """Node positions in smallest-growth order (ties to the earlier node)
+    when that takes fewer elementwise products than node order, else in
+    node order."""
+    axes = _grid_axes(m)
+    left, greedy, seen = list(range(len(axes))), [], set()
+    while left:
+        sizes = [_size(m, seen | axes[k]) for k in left]
+        k = left.pop(sizes.index(min(sizes)))
+        greedy.append(k)
+        seen |= axes[k]
+    plain = list(range(len(axes)))
+    return greedy if _products(m, greedy) < _products(m, plain) else plain
+
+
+def _ref_block_weights(m, idx, order):
+    pos = {e: j for j, e in enumerate(m.graph.edges)}
+    nodes = list(m.graph.nodes)
     w = np.ones(idx.shape, dtype=float)
-    for a in m.graph.nodes:
-        f = m.factors[a]
+    for k in order:
+        f = m.factors[nodes[k]]
         local = np.zeros(idx.shape, dtype=np.int64)
         for i, d in enumerate(f.variables):
             local |= ((idx >> pos[d.edge]) & 1) << i
@@ -46,25 +93,28 @@ def _ref_block_weights(m, idx):
     return w
 
 
-def _ref_blocks(m):
+def _ref_blocks(m, order=None):
+    """Blocks of indices and weights, multiplied in ``order`` (by default
+    the product order)."""
+    order = _product_order(m) if order is None else order
     n = 1 << len(m.graph.edges)
     block = 1 << 16
     for lo in range(0, n, block):
         idx = np.arange(lo, min(lo + block, n), dtype=np.int64)
-        yield idx, _ref_block_weights(m, idx)
+        yield idx, _ref_block_weights(m, idx, order)
 
 
-def _ref_partition(m):
+def _ref_partition(m, order=None):
     total = 0.0
-    for _, w in _ref_blocks(m):
+    for _, w in _ref_blocks(m, order):
         total += float(w.sum())
     return total
 
 
-def _ref_map_energy(m):
+def _ref_map_energy(m, order=None):
     best = -math.inf
     best_idx = 0
-    for idx, w in _ref_blocks(m):
+    for idx, w in _ref_blocks(m, order):
         j = int(np.argmax(w))
         if w[j] > best:
             best = float(w[j])
@@ -170,6 +220,8 @@ MODELS = {
     "only_byte_1": _node_with_only_byte_1,
     "self_edge_byte_1": _self_edge_in_byte_1,
     "zero_slot_node_E20": _zero_slot_node_first,
+    # the smallest-growth order takes 1.20 times node order's products here
+    "node_order_kept": lambda: _random(20, 12, 14),
 }
 
 
@@ -181,6 +233,18 @@ def test_matches_reference_exactly(name):
     assert partition_exact(m) == z_ref
     assert map_energy_exact(m) == (energy_ref, config_ref)
     assert exact_summary(m) == (z_ref, energy_ref, config_ref)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_product_order_moves_only_last_bits(name):
+    """Against node order's products, Z moves by at most 1e-15 relative and
+    the argmax not at all."""
+    m = MODELS[name]()
+    plain = range(len(m.graph.nodes))
+    z_plain = _ref_partition(m, plain)
+    z, _, config = exact_summary(m)
+    assert abs(z - z_plain) <= 1e-15 * abs(z_plain)
+    assert config == _ref_map_energy(m, plain)[1]
 
 
 @st.composite
@@ -224,6 +288,32 @@ def test_random_models_match_reference_exactly(m):
             exact_summary(m)
         return
     assert exact_summary(m) == (z_ref, energy_ref, config_ref)
+
+
+def _check_product_order(m):
+    """The plan's order takes no more elementwise products than node order,
+    and a node that reads no low edge bit (no slots, or only bits 16 and up)
+    is multiplied before every node that reads one, unless node order is
+    kept."""
+    order = model_mod._block_plan(m).order
+    plain = tuple(range(len(m.graph.nodes)))
+    assert sorted(order) == list(plain)
+    assert _products(m, order) <= _products(m, plain)
+    if order != plain:
+        axes = _grid_axes(m)
+        reads = [bool(axes[k]) for k in order]
+        assert reads == sorted(reads)
+
+
+@given(small_models())
+@settings(max_examples=60, deadline=None)
+def test_product_order_never_costs_more(m):
+    _check_product_order(m)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_product_order_never_costs_more_on_corpus(name):
+    _check_product_order(MODELS[name]())
 
 
 def test_tie_resolves_to_first_block():
