@@ -33,7 +33,16 @@ summed out under their new weights, so an edge's coefficients are the
 chain's top bits reduced against the node's weight vector
 (:func:`gauge.monomials`) on the low bits, the slots not reached yet.
 Chains and weight vectors keep the restarts first, so each reduction is
-one ``matmul``.  On a normal edge the local quadratic factorises into the
+one ``matmul``.  The sweep takes the edges in sorted-id order, except on a
+bipartite graph whose nodes all have the same slot count ``k`` (the
+``K_{n,n}`` matching and permanent models): its edges split into ``k``
+perfect matchings (König 1916; :meth:`MultiGraph.perfect_matchings`),
+swept one after another.  The edges of a matching share no node, so the
+whole matching is one step on the ``(n, rows, 2**g)`` stack of all ``n``
+nodes' chains: one stacked ``matmul``, one ``divide`` for every node's
+ratio and one ``take`` of the partners' ratios into the matching's rows of
+``x``, the same ufuncs and iterates as its edges stepped one by one (the
+chromatic schedule of Gonzalez, Low & Guestrin 2009).  On a normal edge the local quadratic factorises into the
 tail's and the head's sums, ``h_pq = a_p b_q``, and its stationary pair
 is BP's message ratio ``(b1 / b0, a1 / a0)``; only a self-edge's 2x2
 block takes the general closed form.  The weight vectors are rewritten
@@ -237,15 +246,23 @@ class _Layout:
     place: dict[NodeId, tuple[int, int]]  # node -> (k, its row in the stack)
     # per edge: tail, head, and whether each one's chain is read again later
     steps: tuple[tuple[NodeId, NodeId, bool, bool], ...]
+    # the edges, in order, form this many perfect matchings of equal size,
+    # which a sweep steps one at a time; 0 when it steps edge by edge
+    matchings: int
 
     @classmethod
     def of(cls, m: MultiGM, edges: Sequence[EdgeId] | None = None) -> "_Layout":
-        """Layout for a sweep over ``edges`` in order, by default the
-        solver's: the edges sorted by id.
+        """Layout for a sweep over ``edges`` in order, edge by edge.
 
-        A self-edge's two slots are adjacent, its positive one above.
+        By default the sweep is the solver's: the graph's perfect matchings
+        one after another (:meth:`MultiGraph.perfect_matchings`), each
+        stepped at once, or when it has none the edges sorted by id.  A
+        self-edge's two slots are adjacent, its positive one above.
         """
-        edges = sorted(m.graph.edges) if edges is None else edges
+        matchings = None
+        if edges is None:
+            matchings = m.graph.perfect_matchings()
+            edges = sorted(m.graph.edges) if matchings is None else sum(matchings, [])
         # the graph's own darts: a gauge keyed by them is read by identity
         pos = {e: 2 * i for i, e in enumerate(edges)}
         darts = tuple(sorted(m.graph.directed_edges(),
@@ -275,7 +292,8 @@ class _Layout:
         ends = [m.graph.endpoints[e] for e in edges]
         last = {a: i for i, pair in enumerate(ends) for a in pair}
         steps = tuple((t, h, i < last[t], i < last[h]) for i, (t, h) in enumerate(ends))
-        return cls(darts=darts, tables=tables, slots=slots, place=place, steps=steps)
+        return cls(darts=darts, tables=tables, slots=slots, place=place, steps=steps,
+                   matchings=len(matchings) if matchings else 0)
 
     @cached_property
     def stacks(self) -> dict[int, np.ndarray]:
@@ -486,9 +504,11 @@ class _Plan:
     sweep order, the ``matmul`` operands that fill ``sums``, the ratio's
     numerator and denominator (``None`` on a self-edge), the edge's
     ``(2, rows)`` block of ``x``, and each fold's two halves, weights and
-    output.  :func:`_unconverged` reads the first edge's chain sums again
-    (:meth:`read_first`) and sets ``bound``, the last per-row bound.  A
-    batch whose rows change gets a new plan.
+    output.  On a layout with matchings it holds one step per matching
+    instead (:meth:`_matching_steps`).  :func:`_unconverged` reads the
+    first edge's chain sums again (:meth:`read_first`, edge by edge on
+    either layout) and sets ``bound``, the last per-row bound.  A batch
+    whose rows change gets a new plan.
     """
 
     def __init__(self, lay: _Layout, x: np.ndarray) -> None:
@@ -497,9 +517,21 @@ class _Plan:
         self.mono = {k: np.empty((len(s), rows, 1 << k)) for k, s in lay.slots.items()}
         self.weighted = {k: np.empty_like(v) for k, v in self.mono.items()}
         self.sums = np.empty((rows, 2, 2))
-        self.step = np.empty((2, rows))
-        self.lowest = np.empty((rows, 2, 2))
-        self.steps = self._steps()
+        if lay.matchings:
+            n = len(lay.place)
+            self.node_sums = np.empty((n, rows, 2, 1))  # [node, row, bit]
+            self.lowest = np.empty_like(self.node_sums)
+            # every node's ratio, its own dart's new value, and a matching's
+            # n darts' damped steps
+            self.ratio, self.own, self.step = (np.empty((n, rows)) for _ in range(3))
+            self.steps = self._matching_steps()
+            tables = {a: lay.stacks[k][i] for a, (k, i) in lay.place.items()}
+            self.first = self._reads(0, tables)
+        else:
+            self.step = np.empty((2, rows))
+            self.lowest = np.empty((rows, 2, 2))
+            self.steps = self._steps()
+            self.first = self.steps[0][0]
         self.weigh()
 
     def weigh(self) -> None:
@@ -509,32 +541,37 @@ class _Plan:
 
     def read_first(self) -> None:
         """The first edge's chain sums at the weight vectors, into ``sums``."""
-        for t, w, out in self.steps[0][0]:
+        for t, w, out in self.first:
             np.matmul(t, w, out=out)
+
+    def _reads(self, i: int, chain: Mapping[NodeId, np.ndarray]) -> tuple:
+        """Edge ``i``'s ``matmul`` operands and outputs in ``sums``, its
+        endpoints' chains in ``chain``."""
+        tail, head, *_ = self.lay.steps[i]
+        sums, rows = self.sums, self.x.shape[1]
+
+        def read(a: NodeId, g: int, out: np.ndarray) -> tuple:
+            k, j = self.lay.place[a]
+            return (*_chain_operands(chain[a], self.mono[k][j], g), out)
+
+        if tail == head:  # bits (+, -), + on top: h's order
+            return (read(tail, 2, sums.reshape(rows, 4, 1)),)
+        return read(tail, 1, sums[:, 0, :, None]), read(head, 1, sums[:, 1, :, None])
 
     def _steps(self) -> tuple:
         lay, x, sums = self.lay, self.x, self.sums
         rows = x.shape[1]
-        # per node: its chain, which starts as its table, and its weight vector
+        # per node: its chain, which starts as its table
         chain = {a: lay.stacks[k][i] for a, (k, i) in lay.place.items()}
-        mono = {a: self.mono[k][i] for a, (k, i) in lay.place.items()}
         # a sweep's folds reuse the weighted-table buffer, free until the
         # residual pass: each fold halves the chain, so all of them fit
         spare = {a: self.weighted[k][i].reshape(-1) for a, (k, i) in lay.place.items()}
-
-        def read(a: NodeId, g: int, out: np.ndarray) -> tuple:
-            return (*_chain_operands(chain[a], mono[a], g), out)
-
         steps = []
         for i, (tail, head, more_tail, more_head) in enumerate(lay.steps):
             pair = x[2 * i : 2 * i + 2]
-            if tail == head:  # bits (+, -), + on top: h's order
-                reads = (read(tail, 2, sums.reshape(rows, 4, 1)),)
-                ratio = None
-            else:
-                reads = (read(tail, 1, sums[:, 0, :, None]),
-                         read(head, 1, sums[:, 1, :, None]))
-                ratio = (sums[:, ::-1, 1], sums[:, ::-1, 0])  # (b1, a1) / (b0, a0)
+            reads = self._reads(i, chain)
+            # (b1, a1) / (b0, a0) on a normal edge
+            ratio = None if tail == head else (sums[:, ::-1, 1], sums[:, ::-1, 0])
             folds = []
             # a self-edge folds its positive slot, then the one below it
             for a, w, more in ((tail, pair[0], more_tail), (head, pair[1], more_head)):
@@ -544,6 +581,41 @@ class _Plan:
                     chain[a], spare[a] = spare[a][:n].reshape(rows, -1), spare[a][n:]
                     folds.append((top[:, 1], w[:, None], top[:, 0], chain[a]))
             steps.append((reads, ratio, pair, tuple(folds)))
+        return tuple(steps)
+
+    def _matching_steps(self) -> tuple:
+        """Per perfect matching: the ``matmul`` operands that read every
+        node's chain sums into ``node_sums``, the node whose ratio each dart
+        of the matching takes, the matching's ``(n, rows)`` block of ``x``,
+        and unless it is the last matching, each node's own dart in that
+        block and the fold's two halves and output.
+
+        All ``n`` nodes have ``k`` slots, so they share one table stack, and
+        a matching reaches each node once: the nodes' chains are one
+        ``(n, rows, 2**g)`` stack with the matching's slot on the top bit,
+        folded into the weighted-table buffer as the edge steps' chains are.
+        """
+        lay, x = self.lay, self.x
+        ((k, stack),) = lay.stacks.items()
+        n, rows = len(stack), x.shape[1]
+        chain, spare, mono = stack[:, None], self.weighted[k].reshape(-1), self.mono[k]
+        steps = []
+        for c in range(lay.matchings):
+            # the node of each dart: edge j's tail on row 2j, its head below
+            edges = lay.steps[c * n // 2 : (c + 1) * n // 2]
+            owner = np.array([lay.place[a][1] for tail, head, *_ in edges
+                              for a in (tail, head)])
+            low = chain.shape[-1] // 2
+            top = chain.reshape(n, -1, 2, low)
+            fold = None
+            if c + 1 < lay.matchings:
+                size = n * rows * low
+                chain, spare = spare[:size].reshape(n, rows, low), spare[size:]
+                fold = (np.argsort(owner), top[:, :, 1], top[:, :, 0], chain)
+            # a dart takes its partner's ratio: (b1 / b0, a1 / a0)
+            partner = owner.reshape(-1, 2)[:, ::-1].ravel()
+            read = (top, mono[:, :, :low, None])
+            steps.append((read, partner, x[c * n : (c + 1) * n], fold))
         return tuple(steps)
 
 
@@ -556,12 +628,13 @@ def _sweep(plan: _Plan, cfg: SolverConfig) -> None:
     On a normal edge the quadratic factorises, ``h_pq = a_p b_q``, and the
     stationary pair is the message ratio ``(b1 / b0, a1 / a0)``; a
     self-edge's 2x2 block takes the general closed form.  Without damping
-    the new pair is written straight into ``x``.
+    the new pair is written straight into ``x``.  On a layout with
+    matchings the edges of one matching share no node, so each matching is
+    stepped at once, with the same ufuncs on every node's chain: the same
+    iterates as its edges stepped one by one.
     """
     rows = plan.x.shape[1]
     sums, step, lowest = plan.sums, plan.step, plan.lowest
-    h = sums.reshape(rows, 4).T  # a self-edge's h00, h01, h10, h11
-    linear = lowest.reshape(rows, 4).T[1:3]
     keep_old, scale = cfg.damping, 1.0 - cfg.damping
     lo, hi = _CLAMP
     # the running minimum of the linear coefficients: on a normal edge
@@ -569,26 +642,48 @@ def _sweep(plan: _Plan, cfg: SolverConfig) -> None:
     lowest.fill(math.inf)
     # a vanished linear coefficient divides by zero; it is raised below
     with np.errstate(divide="ignore", invalid="ignore"):
-        for reads, ratio, pair, folds in plan.steps:
-            for t, w, out in reads:
-                np.matmul(t, w, out=out)
-            new = step if keep_old else pair  # a full step writes x directly
-            if ratio is None:
-                np.fmin(linear, h[1:3], out=linear)
-                _pair_update(h, new, 0.5 * scale)
-            else:
+        if plan.lay.matchings:
+            sums, ratio, own = plan.node_sums, plan.ratio, plan.own
+            for (t, w), partner, pairs, fold in plan.steps:
+                np.matmul(t, w, out=sums)
                 np.fmin(lowest, sums, out=lowest)
-                np.divide(*ratio, out=new.T)
+                np.divide(sums[:, :, 1, 0], sums[:, :, 0, 0], out=ratio)
+                new = step if keep_old else pairs
+                ratio.take(partner, axis=0, out=new, mode="clip")
                 if keep_old:
                     step *= scale
-            if keep_old:
-                pair *= keep_old
-                pair += step
-            np.maximum(pair, lo, out=pair)
-            np.minimum(pair, hi, out=pair)
-            for top, w, bottom, out in folds:
-                np.multiply(top, w, out=out)
-                out += bottom
+                    pairs *= keep_old
+                    pairs += step
+                np.maximum(pairs, lo, out=pairs)
+                np.minimum(pairs, hi, out=pairs)
+                if fold:
+                    darts, top, bottom, out = fold
+                    pairs.take(darts, axis=0, out=own, mode="clip")
+                    np.multiply(top, own[:, :, None], out=out)
+                    out += bottom
+        else:
+            h = sums.reshape(rows, 4).T  # a self-edge's h00, h01, h10, h11
+            linear = lowest.reshape(rows, 4).T[1:3]
+            for reads, ratio, pair, folds in plan.steps:
+                for t, w, out in reads:
+                    np.matmul(t, w, out=out)
+                new = step if keep_old else pair  # a full step writes x directly
+                if ratio is None:
+                    np.fmin(linear, h[1:3], out=linear)
+                    _pair_update(h, new, 0.5 * scale)
+                else:
+                    np.fmin(lowest, sums, out=lowest)
+                    np.divide(*ratio, out=new.T)
+                    if keep_old:
+                        step *= scale
+                if keep_old:
+                    pair *= keep_old
+                    pair += step
+                np.maximum(pair, lo, out=pair)
+                np.minimum(pair, hi, out=pair)
+                for top, w, bottom, out in folds:
+                    np.multiply(top, w, out=out)
+                    out += bottom
     _check_linear(lowest)
 
 

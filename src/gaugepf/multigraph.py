@@ -137,6 +137,58 @@ class MultiGraph:
         """Self-edge count of the fully contracted graph: |E| - |V| + #components."""
         return len(self.edges) - len(self.nodes) + self.connected_components()
 
+    def perfect_matchings(self) -> list[list[EdgeId]] | None:
+        """The edges split into ``k`` perfect matchings, or ``None`` unless
+        the graph is bipartite (so has no self-edge) and every node has the
+        same number ``k >= 1`` of incident edges.
+
+        By König's theorem such a multi-graph's edges take ``k`` colours with
+        no colour twice at a node, and as every node has ``k`` edges each
+        colour is a perfect matching.  Edges are coloured in sorted order:
+        edge ``uv`` takes ``alpha``, the smallest colour free at ``u``; if
+        ``alpha`` is taken at ``v``, the path from ``v`` whose edges alternate
+        ``alpha`` and ``beta``, the smallest colour free at ``v``, first
+        swaps the two (a Kempe chain: on a bipartite graph it cannot reach
+        ``u``).  The matchings are listed by colour, each sorted.
+        """
+        degrees = {len(self.incidence[a]) for a in self.nodes}
+        if len(degrees) != 1 or 0 in degrees:
+            return None
+        (k,) = degrees
+        side: dict[NodeId, bool] = {}
+        for root in self.nodes:  # two-colour each component, depth first
+            if root in side:
+                continue
+            side[root], todo = False, [root]
+            while todo:
+                a = todo.pop()
+                for d in self.incidence[a]:
+                    b = self.endpoints[d.edge][d.positive]  # the other end
+                    if b not in side:
+                        side[b] = not side[a]
+                        todo.append(b)
+                    elif side[b] == side[a]:
+                        return None
+        at: dict[NodeId, list[EdgeId | None]] = {a: [None] * k for a in self.nodes}
+        for e in sorted(self.edges):
+            u, v = self.endpoints[e]
+            alpha, beta = at[u].index(None), at[v].index(None)
+            path, a, c = [], v, alpha
+            while at[a][c] is not None:
+                f = at[a][c]
+                path.append((f, c))
+                a = self.endpoints[f][self.endpoints[f][0] == a]
+                c = alpha + beta - c
+            for f, c in path:
+                for b in self.endpoints[f]:
+                    at[b][c] = None
+            for f, c in path:
+                for b in self.endpoints[f]:
+                    at[b][alpha + beta - c] = f
+            at[u][alpha] = at[v][alpha] = e
+        sides = [a for a in self.nodes if not side[a]]
+        return [sorted(at[a][c] for a in sides) for c in range(k)]
+
     def check_order(self, order: Sequence[EdgeId]) -> None:
         """Raise :class:`GraphError` unless ``order`` lists every edge once.
 

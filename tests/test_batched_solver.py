@@ -4,8 +4,10 @@ The reference below is the solver as it was before restarts were batched:
 one restart after another, each node-table reduction a chain of
 ``tensordot`` calls and each edge update scalar arithmetic.  It replays the
 solver's schedule per restart: full steps first, then the damped solve
-from the same draw when those do not converge.  It shares no
-numerical code with ``gaugepf.bp``.  Reductions now sum in another order,
+from the same draw when those do not converge, each sweep over the edges
+in the order of the solver's layout (one perfect matching after another
+on a regular bipartite model).  It shares no numerical code with
+``gaugepf.bp``.  Reductions now sum in another order,
 so values agree to a relative 1e-9, not bit for bit.
 """
 
@@ -109,7 +111,8 @@ def reference_restarts(m, cfg):
     ``cfg``, and its sweeps count both runs.
     """
     darts = sorted(m.graph.directed_edges(), key=str)
-    edges = sorted(m.graph.edges)
+    # the solver's edge order: its perfect matchings in turn, or sorted ids
+    edges = [d.edge for d in bp_mod._Layout.of(m).darts[::2]]
     rng = np.random.default_rng(cfg.seed)
     lo, hi = np.log(bp_mod._INIT_RANGE[0]), np.log(bp_mod._INIT_RANGE[1])
     first = cfg

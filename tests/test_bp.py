@@ -62,8 +62,8 @@ def random_gauge(m, rng, lo=0.25, hi=4.0):
 
 
 def solver_column(m, x):
-    """The solver's layout of ``m``, edges in sorted order, and ``x`` as its column."""
-    lay = bp_mod._Layout.of(m, sorted(m.graph.edges))
+    """The solver's layout of ``m`` and ``x`` as its column."""
+    lay = bp_mod._Layout.of(m)
     return lay, lay.column(x)
 
 
@@ -114,6 +114,16 @@ class TestResidual:
             g = solve_bp(m, FAST)
             assert g.converged
             lay, col = solver_column(m, g.x)
+            res, _, totals = bp_mod._at_gauge(lay, col)
+            assert res == g.residual
+            assert bp_mod._values(totals, col)[0] == g.value
+        # K_{3,3} and K_{4,4} sweep their perfect matchings in turn
+        for n in (3, 4):
+            m = soft_model(matching_model(n, n, weights=np.exp(rng.uniform(-0.7, 0.7, (n, n)))))
+            g = solve_bp(m, FAST)
+            assert g.converged
+            lay, col = solver_column(m, g.x)
+            assert lay.matchings == n
             res, _, totals = bp_mod._at_gauge(lay, col)
             assert res == g.residual
             assert bp_mod._values(totals, col)[0] == g.value

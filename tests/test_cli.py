@@ -922,6 +922,37 @@ class TestCmdVerify:
         monkeypatch.setattr(gaugepf.cli, "contract_model", off_by_one_entry)
         assert self._failed_checks(capsys) == (EXIT_INVARIANT, {"contract_commutes"})
 
+    def test_solver_convergence_fails_on_an_unconverged_solve(self, capsys, monkeypatch):
+        """A solve reported as not converged fails solver_convergence and no
+        other check; the checks that need a BP gauge are not run."""
+        real = gaugepf.bp.solve_bp
+        monkeypatch.setattr(
+            gaugepf.bp, "solve_bp",
+            lambda m, cfg: dataclasses.replace(real(m, cfg), converged=False),
+        )
+        assert self._failed_checks(capsys) == (EXIT_INVARIANT, {"solver_convergence"})
+
+    def test_diff_marg_recovery_fails_on_a_wrong_z(self, capsys, monkeypatch):
+        """A brute-force ``Z`` off by 1e-9 relative fails diff_marg_recovery
+        (within 1e-10) and no other check: gauge_invariance compares two
+        such values, so the error cancels there, and loop_sum allows 1e-8."""
+        real = gaugepf.cli.partition_exact
+        monkeypatch.setattr(
+            gaugepf.cli, "partition_exact",
+            lambda m, *args, **kwargs: real(m, *args, **kwargs) * (1.0 + 1e-9),
+        )
+        assert self._failed_checks(capsys) == (EXIT_INVARIANT, {"diff_marg_recovery"})
+
+    def test_algebraic_graphical_fails_on_a_wrong_gauge_function(self, capsys, monkeypatch):
+        """A gauge function off by 1e-9 relative fails algebraic_graphical
+        (within 1e-10) and no other check: the loop series binds its own
+        name for the function, so loop_sum does not see the error."""
+        real = gaugepf.gauge.gauge_function
+        monkeypatch.setattr(
+            gaugepf.gauge, "gauge_function", lambda m, x: real(m, x) * (1.0 + 1e-9)
+        )
+        assert self._failed_checks(capsys) == (EXIT_INVARIANT, {"algebraic_graphical"})
+
     def test_tree_corpus_exactness(self, capsys, tmp_path, rng):
         from gaugepf.families import random_tree_model
         from gaugepf.cli import serialize_model as ser

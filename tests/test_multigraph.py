@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gaugepf.families import matching_model
 from gaugepf.multigraph import DirectedEdge, GraphError, MultiGraph
 
 
@@ -193,3 +194,70 @@ class TestBouquetInvariance:
                     break
             assert len(current.edges) == expected
             assert all(current.is_self_edge(e) for e in current.edges)
+
+
+# -- perfect matchings ----------------------------------------------------------
+
+
+@st.composite
+def regular_bipartite_graphs(draw):
+    """A ``k``-regular bipartite multi-graph on ``n + n`` nodes: the union of
+    ``k`` random perfect matchings, so repeated matchings and shared pairs
+    give parallel edges.  Edges point either way, and their ids are drawn
+    so that sorted order is not construction order."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(n * k)))
+    edges = []
+    for c in range(k):
+        for i, j in enumerate(draw(st.permutations(range(n)))):
+            ends = (f"u{i}", f"v{j}")
+            if draw(st.booleans()):
+                ends = ends[::-1]
+            edges.append((f"e{ids[len(edges)]}", *ends))
+    nodes = draw(st.permutations([f"u{i}" for i in range(n)] + [f"v{j}" for j in range(n)]))
+    return MultiGraph.build(nodes, edges), k
+
+
+class TestPerfectMatchings:
+    @given(regular_bipartite_graphs())
+    def test_classes_partition_edges_into_perfect_matchings(self, drawn):
+        g, k = drawn
+        classes = g.perfect_matchings()
+        assert classes is not None and len(classes) == k
+        assert sorted(e for c in classes for e in c) == sorted(g.edges)
+        for c in classes:
+            assert c == sorted(c)
+            assert sorted(a for e in c for a in g.endpoints[e]) == sorted(g.nodes)
+
+    def test_parallel_edges(self):
+        g = MultiGraph.build(
+            ["a", "b", "c", "d"],
+            [("p1", "a", "b"), ("p2", "b", "a"), ("p3", "a", "b"),
+             ("q1", "c", "d"), ("q2", "d", "c"), ("q3", "c", "d")],
+        )
+        assert g.perfect_matchings() == [["p1", "q1"], ["p2", "q2"], ["p3", "q3"]]
+
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [
+            # a self-edge: 2-regular, but not bipartite
+            (["a", "b"], [("s", "a", "a"), ("t", "b", "b")]),
+            (["a", "b"], [("e", "a", "b"), ("f", "b", "a"), ("s", "a", "a"),
+                          ("t", "b", "b")]),
+            # odd cycles: a triangle and K_4
+            (["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c"), ("z", "c", "a")]),
+            (["a", "b", "c", "d"],
+             [(f"{s}{t}", s, t) for s, t in itertools.combinations("abcd", 2)]),
+            # unequal degrees: a path, K_{1,2} plus an isolated node, no edges
+            (["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c")]),
+            (["a", "b", "c", "d"], [("x", "a", "b"), ("y", "a", "c")]),
+            (["a", "b"], []),
+            ([], []),
+        ],
+    )
+    def test_no_classes(self, nodes, edges):
+        assert MultiGraph.build(nodes, edges).perfect_matchings() is None
+
+    def test_unequal_sides(self):
+        assert matching_model(3, 4).graph.perfect_matchings() is None
+        assert len(matching_model(4, 4).graph.perfect_matchings()) == 4

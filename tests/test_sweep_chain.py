@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugepf.bp as bp_mod
+from gaugepf import soft_model
 from gaugepf.bp import (
     DegenerateEdgeError,
     SolverConfig,
@@ -223,6 +224,56 @@ def test_row_retiring_mid_solve(monkeypatch):
     out = _check_chain(m, x0, SolverConfig(max_sweeps=3), monkeypatch)
     assert [g.sweeps for g in out] == [3, 1, 3]
     assert out[1].converged
+
+
+# -- one step per perfect matching ------------------------------------------------
+
+
+def _regular_bipartite(k, n, seed):
+    """A soft model on a ``k``-regular bipartite multi-graph with ``n + n``
+    nodes: the union of ``k`` random perfect matchings."""
+    rng = np.random.default_rng(seed)
+    edges = [(f"e{c}_{i}", f"u{i}", f"v{j}")
+             for c in range(k) for i, j in enumerate(rng.permutation(n))]
+    nodes = [f"u{i}" for i in range(n)] + [f"v{j}" for j in range(n)]
+    return attach_random_factors(MultiGraph.build(nodes, edges), rng)
+
+
+def _knn(n):
+    w = np.exp(np.random.default_rng(n).uniform(-0.7, 0.7, (n, n)))
+    return soft_model(matching_model(n, n, weights=w))
+
+
+MATCHING_MODELS = {
+    "k33": lambda: _knn(3),
+    "k44": lambda: _knn(4),
+    "k55": lambda: _knn(5),
+    "parallel_3": lambda: _regular_bipartite(3, 4, seed=2),
+}
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.5])
+@pytest.mark.parametrize("name", sorted(MATCHING_MODELS))
+def test_matching_steps_equal_edge_steps(name, damping):
+    """A sweep that steps each perfect matching at once gives every
+    ``BPGauge`` field bit for bit as the same layout order stepped edge by
+    edge, with rows retiring at different sweeps."""
+    m = MATCHING_MODELS[name]()
+    lay = bp_mod._Layout.of(m)
+    k = len(next(iter(m.factors.values())).variables)
+    by_edge = bp_mod._Layout.of(m, [d.edge for d in lay.darts[::2]])
+    assert (lay.matchings, by_edge.matchings) == (k, 0)
+    assert by_edge.darts == lay.darts
+    if name == "parallel_3":
+        pairs = [frozenset(m.graph.endpoints[e]) for e in m.graph.edges]
+        assert len(set(pairs)) < len(pairs)
+    x0 = _x0(m, 8, seed=k)
+    assert len(bp_mod._Plan(lay, x0.copy()).steps) == k
+    cfg = SolverConfig(damping=damping, max_sweeps=500)
+    out = bp_mod._lockstep(lay, x0, cfg)
+    assert all(g.converged for g in out)
+    assert len({g.sweeps for g in out}) > 1
+    assert out == bp_mod._lockstep(by_edge, x0, cfg)
 
 
 # -- the chain step on its own ---------------------------------------------------
